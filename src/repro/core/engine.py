@@ -15,8 +15,10 @@ and the storage engine / data connector layers feed records in through
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Mapping
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
+from repro.core.blocks import backend_name as blocks_backend
 from repro.core.estimators.aggregates import (AvgEstimator, CountEstimator,
                                               SumEstimator)
 from repro.core.estimators.base import OnlineEstimator
@@ -35,9 +37,20 @@ from repro.errors import StormError, UpdateError
 from repro.index.hilbert_rtree import HilbertRTree
 from repro.obs import NULL_OBS, Observability
 
-__all__ = ["Dataset", "StormEngine"]
+__all__ = ["Dataset", "SamplerPlan", "StormEngine"]
 
 _GEO_FALLBACK_BOUNDS_2D = Rect((-180.0, -90.0), (180.0, 90.0))
+
+
+class SamplerPlan(NamedTuple):
+    """One query's resolved sampling method."""
+
+    sampler: SpatialSampler
+    #: Why this sampler: the ``plan:`` text EXPLAIN renders.
+    text: str
+    #: The optimizer that chose the sampler, to calibrate with the
+    #: run's measured cost; None when the choice was fixed or forced.
+    optimizer: QueryOptimizer | None = None
 
 
 def _padded_bounds(records: list[Record], dims: int,
@@ -241,8 +254,8 @@ class Dataset:
         """Adopt a tiered ingest path (``LSMTree.open`` calls this).
 
         Registers the snapshot-pinned tiered sampler; from here on
-        ``sampler_for`` routes every default query through it, since
-        the per-tree samplers only see the main tier.
+        :meth:`plan` routes every default query through it, since the
+        per-tree samplers only see the main tier.
         """
         from repro.core.sampling.tiered import TieredSampler
         self.lsm = lsm
@@ -252,29 +265,68 @@ class Dataset:
 
     # -- sessions ------------------------------------------------------------
 
-    def sampler_for(self, query: Rect, method: str | None = None,
-                    expected_k: int | None = None) -> SpatialSampler:
-        """Resolve a sampler: explicit method or optimizer choice.
+    def plan(self, query: Rect, method: str | None = None,
+             expected_k: int | None = None) -> SamplerPlan:
+        """Resolve the sampler for a query: the one rule for local
+        datasets.
 
-        With an LSM attached the default is always the tiered sampler
-        — the per-tree samplers only cover the main tier, so letting
-        the optimizer pick one would silently miss memtable and run
-        records.  An explicit ``method`` still wins (diagnostics).
+        An explicit ``method`` (``USING``) wins.  Otherwise, with an
+        LSM attached, the tiered sampler — the per-tree samplers only
+        cover the main tier, so letting the optimizer pick one would
+        silently miss memtable and run records.  Otherwise the
+        optimizer's cheapest method.
         """
         if method is not None:
             if method not in self.samplers:
                 raise StormError(
                     f"unknown sampling method {method!r}; available: "
                     f"{sorted(self.samplers)}")
-            sampler = self.samplers[method]
+            plan = SamplerPlan(self.samplers[method],
+                               f"method forced via USING: {method}")
         elif self.lsm is not None:
-            sampler = self.samplers["lsm-tiered"]
+            plan = SamplerPlan(self.samplers["lsm-tiered"],
+                               "method fixed by tiered ingest: lsm-tiered "
+                               "(per-tree samplers only see the main "
+                               "tier)")
         else:
-            sampler = self.optimizer.choose(query, expected_k).sampler
-        if sampler.name == "sample-first" and self._sample_first_dirty:
-            sampler.refresh()  # type: ignore[attr-defined]
+            chosen = self.optimizer.choose(query, expected_k)
+            plan = SamplerPlan(chosen.sampler, chosen.explain(),
+                               self.optimizer)
+        if plan.sampler.name == "sample-first" \
+                and self._sample_first_dirty:
+            plan.sampler.refresh()  # type: ignore[attr-defined]
             self._sample_first_dirty = False
-        return sampler
+        return plan
+
+    def sampler_for(self, query: Rect, method: str | None = None,
+                    expected_k: int | None = None) -> SpatialSampler:
+        """The sampler :meth:`plan` resolves for a query."""
+        return self.plan(query, method, expected_k).sampler
+
+    @contextmanager
+    def explain_counters(self) -> Iterator[dict[str, dict]]:
+        """Measure one query for EXPLAIN ANALYZE: yields the report's
+        ``caches``, ``index`` and ``faults`` rows, filled in when the
+        block exits — this query's canonical-set lookups, the leaf
+        storage format and this query's vectorized-filter activity
+        (see :mod:`repro.core.blocks`)."""
+        tree = self.tree
+        before = (tree.canon_hits, tree.canon_misses,
+                  tree.vector_filters, tree.vector_filter_hits)
+        counters: dict[str, dict] = {"caches": {}, "index": {},
+                                     "faults": {}}
+        yield counters
+        counters["caches"]["canonical-set"] = (
+            tree.canon_hits - before[0], tree.canon_misses - before[1])
+        leaves, packed = tree.leaf_block_stats()
+        counters["index"].update({
+            "leaf storage":
+                f"columnar ({packed}/{leaves} leaves packed,"
+                f" {blocks_backend()} backend)" if packed else
+                f"record-list ({leaves} leaves, no blocks built)",
+            "vectorized filters": tree.vector_filters - before[2],
+            "vectorized filter hits": tree.vector_filter_hits - before[3],
+        })
 
     def session(self, query: "Rect | STRange",
                 estimator: OnlineEstimator, method: str | None = None,
@@ -293,19 +345,22 @@ class Dataset:
         query service tags every session with its tenant this way.
         ``clock`` overrides the session's time source (durable server
         streams use a logical clock for byte-reproducible frames).
+        The session keeps its :class:`SamplerPlan` as ``plan``.
         """
         rect = self.to_rect(query)
-        sampler = self.sampler_for(rect, method, expected_k)
+        plan = self.plan(rect, method, expected_k)
         merged: dict[str, object] = {"dataset": self.name}
         if labels:
             merged.update(labels)
         kwargs = {} if clock is None else {"clock": clock}
-        return OnlineQuerySession(sampler, estimator, rect, self.lookup,
-                                  rng=rng, report_every=report_every,
-                                  with_replacement=with_replacement,
-                                  obs=obs if obs is not None
-                                  else self.obs,
-                                  labels=merged, **kwargs)
+        session = OnlineQuerySession(
+            plan.sampler, estimator, rect, self.lookup, rng=rng,
+            report_every=report_every,
+            with_replacement=with_replacement,
+            obs=obs if obs is not None else self.obs, labels=merged,
+            **kwargs)
+        session.plan = plan
+        return session
 
 
 class StormEngine:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.core.estimators.base import Estimate, OnlineEstimator
@@ -28,7 +28,7 @@ from repro.core.records import Record
 from repro.core.sampling.base import SpatialSampler
 from repro.errors import EstimatorError, StormError
 from repro.index.cost import CostCounter
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, Observability, Span
 
 __all__ = ["StopCondition", "ProgressPoint", "OnlineQuerySession"]
 
@@ -105,6 +105,11 @@ class OnlineQuerySession:
         self.obs = obs if obs is not None else NULL_OBS
         self.labels = dict(labels) if labels else {}
         self.cost = CostCounter()
+        #: The :class:`~repro.core.engine.SamplerPlan` that picked the
+        #: sampler (set by the dataset that opened the session).
+        self.plan = None
+        #: Root span of the latest run() (None when tracing is off).
+        self.trace: Span | None = None
         # Resumable-session state: the stream, sample count and clock
         # origin survive across run() calls.
         self._stream: Iterator | None = None
@@ -199,6 +204,7 @@ class OnlineQuerySession:
                              **self.labels).inc()
         qspan = tracer.begin("query", sampler=self.sampler.name,
                              resumed=self._k > 0, **self.labels)
+        self.trace = qspan if tracer.enabled else None
         try:
             self._ensure_started()
             q = self._q
@@ -328,6 +334,13 @@ class OnlineQuerySession:
                 registry.counter("storm.session.stops",
                                  reason=qspan.attrs["reason"],
                                  **self.labels).inc()
+
+    def close(self) -> None:
+        """Close the sample stream now rather than at garbage
+        collection; samplers that hold resources or open spans for a
+        stream (the distributed fan-out) release them here."""
+        if self._stream is not None:
+            self._stream.close()
 
     def run_to_stop(self, stop: StopCondition) -> ProgressPoint:
         """Run until a stop condition fires; return the final snapshot."""

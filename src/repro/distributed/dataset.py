@@ -9,9 +9,10 @@ owning worker.
 
 from __future__ import annotations
 
-import random
-from typing import Iterable
+from contextlib import contextmanager
+from typing import Iterable, Iterator
 
+from repro.core.engine import Dataset, SamplerPlan
 from repro.core.estimators.base import OnlineEstimator
 from repro.core.geometry import Rect
 from repro.core.records import Record, STRange
@@ -51,6 +52,9 @@ class DistributedDataset:
             self.index, batch_size=batch_size,
             max_retries=max_retries, backoff_seconds=backoff_seconds)
         self.sampler.bind_observability(self.obs)
+        #: The one sampler, under its method name; no tiered ingest.
+        self.samplers = {self.sampler.name: self.sampler}
+        self.lsm = None
         self.obs.registry.gauge("storm.dataset.records",
                                 dataset=name).set(len(self.index))
 
@@ -89,25 +93,46 @@ class DistributedDataset:
         """Delete by id (broadcast); returns whether it existed."""
         return self.index.delete(record_id)
 
-    def session(self, query: "Rect | STRange",
-                estimator: OnlineEstimator, method: str | None = None,
-                rng: random.Random | None = None,
-                expected_k: int | None = None,
-                report_every: int = 16,
-                with_replacement: bool = False,
-                obs: Observability | None = None,
-                labels: dict[str, object] | None = None
-                ) -> OnlineQuerySession:
-        """An online session over the cluster.
-
-        ``method`` must be omitted (or ``"distributed-rs"``): the
-        shard-local sampling index was fixed at construction.
-        ``with_replacement`` is not offered by the distributed merge.
-        """
+    def plan(self, query: Rect, method: str | None = None,
+             expected_k: int | None = None) -> SamplerPlan:
+        """The sampler fixed at build time: the one rule for sharded
+        datasets.  ``method`` must be omitted or name that sampler —
+        the shard-local sampling index was fixed at construction."""
         if method not in (None, self.sampler.name):
             raise StormError(
                 f"distributed dataset {self.name!r} has no method "
                 f"{method!r}; it samples via {self.sampler.name!r}")
+        return SamplerPlan(self.sampler, "method fixed at build time: "
+                           f"{self.sampler.name}")
+
+    @contextmanager
+    def explain_counters(self) -> Iterator[dict[str, dict]]:
+        """Measure one query for EXPLAIN ANALYZE (see
+        :meth:`Dataset.explain_counters`): the ``faults`` rows come
+        from the sampler's per-stream tallies, which reach the registry
+        only when the dataset was built with live observability."""
+        counters: dict[str, dict] = {"caches": {}, "index": {},
+                                     "faults": {}}
+        yield counters
+        last = self.sampler.last_faults
+        counters["faults"].update({
+            "worker errors": last.get("errors", 0),
+            "retries": last.get("retries", 0),
+            "stream failovers": last.get("failovers", 0),
+            "degraded workers": last.get("degraded", 0),
+            "backoff seconds": last.get("backoff_seconds", 0.0),
+        })
+
+    def session(self, query: "Rect | STRange",
+                estimator: OnlineEstimator, *,
+                with_replacement: bool = False,
+                obs: Observability | None = None,
+                **kwargs) -> OnlineQuerySession:
+        """An online session over the cluster, opened by the same code
+        as :meth:`Dataset.session` (same keywords).
+
+        ``with_replacement`` is not offered by the distributed merge.
+        """
         if with_replacement:
             raise StormError(
                 "the distributed sampler is without-replacement only")
@@ -118,11 +143,4 @@ class DistributedDataset:
         # still has to see the whole trace under one id.
         if use is not self.sampler.obs:
             self.sampler.bind_observability(use)
-        merged: dict[str, object] = {"dataset": self.name}
-        if labels:
-            merged.update(labels)
-        return OnlineQuerySession(self.sampler, estimator,
-                                  self.to_rect(query), self.lookup,
-                                  rng=rng, report_every=report_every,
-                                  obs=use,
-                                  labels=merged)
+        return Dataset.session(self, query, estimator, obs=use, **kwargs)

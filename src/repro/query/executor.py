@@ -2,9 +2,10 @@
 
 The executor builds the right estimator for the task, derives the stop
 condition from the query's options (accuracy target / time budget / sample
-budget), resolves the sampling method (forced via ``USING`` or chosen by
-the per-dataset optimizer) and drives an online session.  ``EXPLAIN``
-queries return the optimizer's scoring instead of running;
+budget) and opens an online session on the dataset, whose ``plan``
+resolves the sampling method (forced via ``USING``, fixed by the dataset
+kind, or chosen by the per-dataset optimizer).  ``EXPLAIN`` queries
+return that plan's text instead of running;
 :meth:`QueryExecutor.explain_report` goes further and *runs* the query
 under a trace, reporting the plan, per-phase simulated seconds and the
 stop-condition outcome (an ``EXPLAIN ANALYZE``).
@@ -26,25 +27,19 @@ from repro.core.estimators.base import OnlineEstimator
 from repro.core.estimators.groupby import GroupByEstimator
 from repro.core.estimators.text import ShortTextEstimator
 from repro.core.estimators.timeseries import TimeHistogramEstimator
-from repro.core.blocks import backend_name as blocks_backend
 from repro.core.estimators.trajectory import TrajectoryEstimator
 from repro.core.records import STRange, attribute_getter
-from repro.core.session import ProgressPoint, StopCondition
+from repro.core.session import (OnlineQuerySession, ProgressPoint,
+                                StopCondition)
 from repro.errors import StormError
 from repro.index.cost import DEFAULT_COST_MODEL
-from repro.obs import (NULL_OBS, Observability, Span, Tracer,
-                       render_explain)
+from repro.obs import Observability, Span, Tracer, render_explain
 from repro.query.ast import QuerySpec
 from repro.query.language import parse
 
 __all__ = ["QueryExecutor", "QueryResult"]
 
 _DEFAULT_SAMPLE_CAP = 2000
-
-#: Plan line when a tiered ingest path (LSM) is attached: the per-tree
-#: samplers only cover the main tier, so the method is not negotiable.
-_TIERED_PLAN_TEXT = ("method fixed by tiered ingest: lsm-tiered "
-                     "(per-tree samplers only see the main tier)")
 
 
 @dataclass(slots=True)
@@ -88,8 +83,7 @@ class QueryExecutor:
         self.rng = rng if rng is not None else random.Random()
         # Defaults to the engine's sink so CLI --trace / stats see
         # every query this executor runs.
-        self.obs = obs if obs is not None \
-            else getattr(engine, "obs", NULL_OBS)
+        self.obs = obs if obs is not None else engine.obs
 
     # ------------------------------------------------------------------
 
@@ -164,58 +158,45 @@ class QueryExecutor:
         """Parse (if needed) and run one query to its stop condition.
 
         ``obs`` overrides the executor's observability sink for this
-        one query (the EXPLAIN report runs under a private tracer).
+        one query.
         """
         spec = parse(query) if isinstance(query, str) else query
-        used = obs if obs is not None else self.obs
-        dataset = self.engine.dataset(spec.dataset)
-        st_range = spec.st_range()
-        rect = dataset.to_rect(st_range)
-        # Distributed datasets fix their sampler at build time and
-        # have no optimizer; fall back gracefully for them.
-        optimizer = getattr(dataset, "optimizer", None)
         if spec.explain:
-            if optimizer is None:
-                return QueryResult(
-                    spec=spec, final=None,
-                    explanation=self._fixed_plan_text(dataset))
-            if spec.method is None and \
-                    getattr(dataset, "lsm", None) is not None:
-                return QueryResult(spec=spec, final=None,
-                                   explanation=_TIERED_PLAN_TEXT)
-            plan = optimizer.choose(rect, expected_k=spec.max_samples)
+            # EXPLAIN shows the default plan, even under USING.
+            dataset = self.engine.dataset(spec.dataset)
+            plan = dataset.plan(dataset.to_rect(spec.st_range()),
+                                expected_k=spec.max_samples)
             return QueryResult(spec=spec, final=None,
-                               explanation=plan.explain())
-        estimator = self._estimator(spec, st_range)
-        method = spec.method
-        # With a tiered ingest path attached the per-tree samplers only
-        # see the main tier, so the optimizer must not pick one — the
-        # dataset routes method=None to the tiered sampler itself.
-        chosen_by_optimizer = method is None and optimizer is not None \
-            and getattr(dataset, "lsm", None) is None
-        if chosen_by_optimizer:
-            method = optimizer.choose(
-                rect, expected_k=spec.max_samples).method
-        roots_before = len(used.tracer.roots)
-        session = dataset.session(
-            st_range, estimator, method=method, rng=self.rng,
-            expected_k=spec.max_samples,
-            with_replacement=spec.with_replacement, obs=used)
-        started = time.perf_counter()
-        final = session.run_to_stop(self._stop(spec))
-        if used.registry.enabled:
-            used.registry.histogram(
-                "storm.query.latency_seconds",
-                task=spec.task.kind, dataset=spec.dataset).observe(
-                    time.perf_counter() - started)
-        if chosen_by_optimizer and final.k > 0:
-            # Close the loop: calibrate the optimizer with what the
-            # chosen method actually cost.
-            actual = DEFAULT_COST_MODEL.simulated_seconds(final.cost)
-            optimizer.record_outcome(method, rect, final.k, actual)
-        trace = used.tracer.roots[roots_before] \
-            if len(used.tracer.roots) > roots_before else None
-        return QueryResult(spec=spec, final=final, trace=trace)
+                               explanation=plan.text)
+        session, final = self._run(
+            spec, obs if obs is not None else self.obs)
+        return QueryResult(spec=spec, final=final, trace=session.trace)
+
+    def _run(self, spec: QuerySpec, obs: Observability
+             ) -> tuple[OnlineQuerySession, ProgressPoint]:
+        """The batch run behind :meth:`execute` and the EXPLAIN
+        report: the (closed) session and its final point."""
+        session, stop = self.session(spec, obs=obs)
+        plan = session.plan
+        try:
+            started = time.perf_counter()
+            final = session.run_to_stop(stop)
+            if obs.registry.enabled:
+                obs.registry.histogram(
+                    "storm.query.latency_seconds",
+                    task=spec.task.kind, dataset=spec.dataset).observe(
+                        time.perf_counter() - started)
+            if plan.optimizer is not None and final.k > 0:
+                # Close the loop: calibrate the optimizer with what the
+                # chosen method actually cost.
+                actual = DEFAULT_COST_MODEL.simulated_seconds(final.cost)
+                plan.optimizer.record_outcome(plan.sampler.name,
+                                              session.query, final.k,
+                                              actual)
+        finally:
+            # The trace is read next: the stream's spans must be closed.
+            session.close()
+        return session, final
 
     def explain_report(self, query: "str | QuerySpec",
                        obs: Observability | None = None) -> str:
@@ -230,29 +211,12 @@ class QueryExecutor:
         spec = parse(query) if isinstance(query, str) else query
         if spec.explain:
             spec = replace(spec, explain=False)
-        dataset = self.engine.dataset(spec.dataset)
-        rect = dataset.to_rect(spec.st_range())
-        optimizer = getattr(dataset, "optimizer", None)
-        if spec.method is not None:
-            plan_text = f"method forced via USING: {spec.method}"
-        elif optimizer is None:
-            plan_text = self._fixed_plan_text(dataset)
-        elif getattr(dataset, "lsm", None) is not None:
-            plan_text = _TIERED_PLAN_TEXT
-        else:
-            plan_text = optimizer.choose(
-                rect, expected_k=spec.max_samples).explain()
         if obs is not None:
             local = obs
         else:
             shared = self.obs.registry \
                 if self.obs.registry.enabled else None
             local = Observability(registry=shared, tracer=Tracer())
-        tree = getattr(dataset, "tree", None)
-        canon_before = (tree.canon_hits, tree.canon_misses) \
-            if tree is not None else (0, 0)
-        vec_before = (getattr(tree, "vector_filters", 0),
-                      getattr(tree, "vector_filter_hits", 0))
         registry = local.registry
         if registry.enabled:
             fault_before = {
@@ -261,30 +225,10 @@ class QueryExecutor:
             dfs_before = (
                 registry.counter("storm.dfs.cache.hits").value,
                 registry.counter("storm.dfs.cache.misses").value)
-        result = self.execute(spec, obs=local)
-        assert result.final is not None
-        caches = {}
-        if tree is not None:
-            caches["canonical-set"] = (
-                tree.canon_hits - canon_before[0],
-                tree.canon_misses - canon_before[1])
-        # Leaf storage format and this query's vectorized-filter
-        # activity (columnar leaves answer rect/time containment in
-        # one pass over typed arrays; see repro.core.blocks).
-        index = {}
-        if tree is not None and hasattr(tree, "leaf_block_stats"):
-            leaves, packed = tree.leaf_block_stats()
-            if packed:
-                index["leaf storage"] = (
-                    f"columnar ({packed}/{leaves} leaves packed,"
-                    f" {blocks_backend()} backend)")
-            else:
-                index["leaf storage"] = (
-                    f"record-list ({leaves} leaves, no blocks built)")
-            index["vectorized filters"] = \
-                getattr(tree, "vector_filters", 0) - vec_before[0]
-            index["vectorized filter hits"] = \
-                getattr(tree, "vector_filter_hits", 0) - vec_before[1]
+        dataset = self.engine.dataset(spec.dataset)
+        with dataset.explain_counters() as counters:
+            session, final = self._run(spec, local)
+        caches = counters["caches"]
         faults = {}
         if registry.enabled:
             caches["dfs-block"] = (
@@ -297,20 +241,7 @@ class QueryExecutor:
                 for (label, name), before
                 in zip(self._FAULT_COUNTERS.items(),
                        fault_before.values())}
-        # The distributed sampler keeps per-stream tallies of this
-        # query's fault events on its own (they reach the registry
-        # only when the dataset was built with live observability, so
-        # the tallies are the authoritative per-query source).
-        sampler = getattr(dataset, "sampler", None)
-        last = getattr(sampler, "last_faults", None)
-        if last:
-            faults.update({
-                "worker errors": last.get("errors", 0),
-                "retries": last.get("retries", 0),
-                "stream failovers": last.get("failovers", 0),
-                "degraded workers": last.get("degraded", 0),
-                "backoff seconds": last.get("backoff_seconds", 0.0),
-            })
+        faults.update(counters["faults"])
         # Durability tallies are engine-lifetime, not per-query: WAL
         # traffic happens on the update path and recovery at load
         # time, so EXPLAIN surfaces the cumulative counters (all-zero
@@ -324,14 +255,13 @@ class QueryExecutor:
         # tiers are what the WAL's committed-but-uncompacted suffix
         # currently looks like (zero rows render nothing, so datasets
         # without an LSM attached are unaffected).
-        lsm = getattr(dataset, "lsm", None)
-        if lsm is not None:
+        if dataset.lsm is not None:
             durability.update({
                 f"lsm {key.replace('_', ' ')}": value
-                for key, value in lsm.tier_shape().items()})
-        return render_explain(plan_text, result.trace, result.final,
-                              caches=caches, index=index, faults=faults,
-                              durability=durability)
+                for key, value in dataset.lsm.tier_shape().items()})
+        return render_explain(session.plan.text, session.trace, final,
+                              caches=caches, index=counters["index"],
+                              faults=faults, durability=durability)
 
     #: Registry counters surfaced in the EXPLAIN "faults" section
     #: (label -> counter name); zero-valued rows are not rendered.
@@ -358,14 +288,6 @@ class QueryExecutor:
         "recovery bytes discarded": "storm.recovery.bytes_discarded",
         "write crashes injected": "storm.dfs.write_crashes",
     }
-
-    @staticmethod
-    def _fixed_plan_text(dataset) -> str:
-        """Plan line for datasets without an optimizer (the sampler
-        was fixed at construction — e.g. distributed datasets)."""
-        sampler = getattr(dataset, "sampler", None)
-        name = getattr(sampler, "name", "fixed")
-        return f"method fixed at build time: {name}"
 
     def session(self, query: "str | QuerySpec", *,
                 rng: random.Random | None = None,

@@ -12,11 +12,11 @@ and ``storm-query serve --journal DIR`` re-admits the open streams on
 restart.
 
 Resume is **replay, not suspend/restore**: the journal records the
-query text, the seed, the tenant/session coordinates and the pinned
-dataset version — not sampler state.  A re-admitted stream re-runs
-from scratch with the same seed under a logical clock, and because
-scheduling never changes *what* a stream draws (PR 9's determinism
-invariant), every replayed frame is byte-identical to the original.
+query text, the seed and the tenant/session coordinates — not sampler
+state.  A re-admitted stream re-runs from scratch with the same seed
+under a logical clock, and because scheduling never changes *what* a
+stream draws (the scheduler's determinism invariant), every replayed
+frame is byte-identical to the original.
 A client's ``?from=N`` cursor therefore stays valid across the
 restart: frames ``0..N`` regenerate identically and the continuation
 matches an uninterrupted run exactly (the acceptance test diffs the
@@ -28,7 +28,7 @@ Record types (all framed and checksummed by the WAL):
 ``stream_open``
     One durable stream admitted: ``task_id``, ``tenant``,
     ``session_id``/``session_name``, ``query``, ``seed``, ``weight``,
-    ``label``, ``dataset_version``.
+    ``label``.
 ``stream_progress``
     Throttled watermark (every ``progress_every`` frames): the journal
     rides :meth:`SimulatedDFS.append_file`, which rewrites the whole
@@ -100,8 +100,7 @@ class StreamJournal:
     # -- recording -------------------------------------------------------
 
     def record_open(self, task, *, query: str, seed: int,
-                    session_id: str, session_name: str,
-                    dataset_version=None) -> bool:
+                    session_id: str, session_name: str) -> bool:
         """Journal one durable stream's definition; False if the
         journal is dead (the stream then runs non-durably)."""
         return self._append("stream_open", {
@@ -113,7 +112,6 @@ class StreamJournal:
             "seed": int(seed),
             "weight": task.weight,
             "label": task.label,
-            "dataset_version": dataset_version,
         })
 
     def record_progress(self, task) -> bool:

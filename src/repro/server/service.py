@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.engine import StormEngine
 from repro.errors import StormError
-from repro.obs import NULL_OBS, Observability
+from repro.obs import Observability
 from repro.query.ast import QuerySpec
 from repro.query.executor import QueryExecutor
 from repro.query.language import parse
@@ -153,7 +153,7 @@ class QueryService:
         self.config = config if config is not None else ServerConfig()
         if obs is not None:
             self.obs = obs
-        elif getattr(engine, "obs", NULL_OBS).enabled:
+        elif engine.obs.enabled:
             self.obs = engine.obs
         else:
             # The service always runs live: per-tenant counters and
@@ -377,12 +377,10 @@ class QueryService:
             deadline_seconds=deadline, durable=durable,
             meta={"query": body.get("query"), "seed": seed})
         if durable:
-            dataset = self.engine.datasets.get(spec.dataset)
             opened = journal.record_open(
                 task, query=body["query"], seed=seed,
                 session_id=session.session_id,
-                session_name=session.name,
-                dataset_version=getattr(dataset, "version", None))
+                session_name=session.name)
             if not opened:
                 # Journal is dead: the stream still runs, it just
                 # won't survive a restart.
@@ -606,11 +604,10 @@ class QueryService:
         for name, dataset in sorted(self.engine.datasets.items()):
             out[name] = {
                 "records": len(dataset),
-                "dims": getattr(dataset, "dims", None),
+                "dims": dataset.dims,
                 "kind": type(dataset).__name__,
-                "tiered_ingest": getattr(dataset, "lsm", None)
-                is not None,
-                "samplers": sorted(getattr(dataset, "samplers", {})),
+                "tiered_ingest": dataset.lsm is not None,
+                "samplers": sorted(dataset.samplers),
             }
         return {"datasets": out}
 

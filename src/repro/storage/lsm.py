@@ -188,8 +188,8 @@ class SealedRun:
         One :class:`~repro.core.blocks.RecordBlock` per run: packed
         id/lon/lat/t columns plus the JSON attrs side-table, ~5-10x
         denser than the per-record JSON documents it replaced.
-        Restores still accept the legacy JSON layout (see
-        ``LSMTree._restore_runs``), so pre-existing run files load.
+        Restores accept only this format (see
+        ``LSMTree._restore_runs``).
         """
         block = RecordBlock.from_records(
             self.records[rid] for rid in sorted(self.records))
@@ -201,7 +201,7 @@ class LSMTree:
 
     Attach with :meth:`LSMTree.open`; afterwards the dataset routes
     ``insert``/``delete`` here instead of mutating the main tree, and
-    ``Dataset.sampler_for`` answers every query with the snapshot-
+    ``Dataset.plan`` answers every default query with the snapshot-
     pinned :class:`~repro.core.sampling.tiered.TieredSampler`.
 
     Parameters
@@ -339,21 +339,16 @@ class LSMTree:
                 # external damage — fail loudly rather than under-count.
                 raise StorageError(f"manifest names missing run {name!r}")
             data = self.dfs.read_file(name)
-            if is_block_payload(data):
-                block, meta = RecordBlock.decode(data)
-                records = list(block.records())
-                run_id = int(meta["run_id"])
-                registry = self.obs.registry
-                if registry.enabled:
-                    registry.counter("storm.blocks.decoded").inc()
-            else:
-                # Legacy canonical-JSON run file from before the
-                # columnar wire format.
-                doc = json.loads(data)
-                records = [Record.from_document(d)
-                           for d in doc["records"]]
-                run_id = int(doc["run_id"])
-            run = self._build_run(run_id, records, file=name)
+            if not is_block_payload(data):
+                raise StorageError(
+                    f"run file {name!r} is not a columnar block payload")
+            block, meta = RecordBlock.decode(data)
+            records = list(block.records())
+            registry = self.obs.registry
+            if registry.enabled:
+                registry.counter("storm.blocks.decoded").inc()
+            run = self._build_run(int(meta["run_id"]), records,
+                                  file=name)
             self.runs.append(run)
         live_runs = {run.run_id for run in self.runs}
         for spec in manifest.get("tombstones", []):

@@ -7,8 +7,8 @@ pins that contract three ways: block filters against brute-force /
 record-list scans (same id sets, 2-d and 3-d, empty and single-record
 blocks), columnar estimator absorption against per-record absorption
 (mean/sum/KDE agree to 1e-12), and the wire codec against itself
-(hypothesis round-trip property, plus the legacy JSON run format the
-LSM still restores).
+(hypothesis round-trip property; LSM run files restore only from the
+block format, and a run file in the old JSON layout is rejected).
 
 The numpy and stdlib paths are both exercised by monkeypatching
 ``repro.core.blocks._numpy`` — the same switch the
@@ -18,6 +18,7 @@ flip for real.
 
 import json
 import random
+import re
 from array import array
 
 import pytest
@@ -320,7 +321,7 @@ class TestCodec:
 
 
 # ----------------------------------------------------------------------
-# LSM run payloads: block format forward, legacy JSON back-compat
+# LSM run payloads: block format only, legacy JSON rejected
 # ----------------------------------------------------------------------
 
 def _sealed_lsm(seed=77, n=40, extra=90):
@@ -372,12 +373,12 @@ class TestRunPayloads:
         assert {r.run_id: dict(r.records) for r in reopened.runs} \
             == {r.run_id: dict(r.records) for r in lsm.runs}
 
-    def test_restore_from_legacy_json_run(self):
+    def test_legacy_json_run_is_rejected(self):
         from repro.storage.json_codec import canonical_json
 
         dataset, dfs, lsm = _sealed_lsm()
         # Rewrite every run file in the pre-columnar canonical-JSON
-        # layout, as a restart against old on-disk state would see.
+        # layout: restore names the first one in a typed error.
         for run in lsm.runs:
             legacy = canonical_json({
                 "run_id": run.run_id,
@@ -386,9 +387,9 @@ class TestRunPayloads:
             }).encode()
             assert not is_block_payload(legacy)
             dfs.write_file(run.file, legacy)
-        reopened = _reopen(dataset, dfs)
-        assert {r.run_id: dict(r.records) for r in reopened.runs} \
-            == {r.run_id: dict(r.records) for r in lsm.runs}
+        with pytest.raises(StorageError,
+                           match=re.escape(repr(lsm.runs[0].file))):
+            _reopen(dataset, dfs)
 
     def test_is_block_payload_rejects_json(self):
         assert not is_block_payload(json.dumps({"a": 1}).encode())

@@ -225,6 +225,66 @@ class TestIngestIsolation:
             noisy.shutdown()
 
 
+# -- sharded datasets (serve --workers N) -------------------------------
+
+
+class TestDistributedService:
+    """The service over a 3-worker cluster, as ``serve --workers 3``
+    builds it."""
+
+    OSM_Q = ("ESTIMATE AVG(altitude) FROM osm "
+             "WHERE REGION(-110, 30, -85, 45) SAMPLES 300")
+
+    @staticmethod
+    def _engine():
+        from repro.cli import build_engine
+        return build_engine(["osm"], n=3000, seed=1, workers=3)
+
+    @staticmethod
+    def _wallclock_free(frames):
+        return [{k: v for k, v in f.items() if k != "elapsed"}
+                for f in frames]
+
+    def test_one_shot_query_ends(self):
+        svc = QueryService(self._engine(), ServerConfig(quantum=32))
+        try:
+            doc = svc.run_query("t", {"query": self.OSM_Q, "seed": 3},
+                                timeout=60)
+        finally:
+            svc.shutdown()
+        assert doc["result"]["frame"] == "end", doc["result"]
+        assert doc["result"]["k"] >= 300
+
+    def test_stream_matches_solo_session(self):
+        from repro.query.executor import QueryExecutor
+        from repro.server.protocol import progress_frame, terminal_frame
+        quantum = 32
+        svc = QueryService(self._engine(), ServerConfig(quantum=quantum))
+        try:
+            served = svc.submit_stream(
+                "t", {"query": self.OSM_Q, "seed": 99}
+            ).drain_frames(timeout=60)
+        finally:
+            svc.shutdown()
+        session, stop = QueryExecutor(self._engine()).session(
+            self.OSM_Q, rng=random.Random(99), report_every=quantum)
+        points = list(session.run(stop))
+        solo = [progress_frame(p) for p in points] \
+            + [terminal_frame(points[-1])]
+        assert served[-1]["frame"] == "end"
+        assert self._wallclock_free(served) == self._wallclock_free(solo)
+
+    def test_datasets_doc_lists_the_cluster_sampler(self):
+        svc = QueryService(self._engine(), ServerConfig())
+        try:
+            doc = svc.datasets_doc()["datasets"]["osm"]
+        finally:
+            svc.shutdown()
+        assert doc["kind"] == "DistributedDataset"
+        assert doc["samplers"] == ["distributed-rs"]
+        assert doc["tiered_ingest"] is False
+
+
 # -- quotas, admission, backpressure ------------------------------------
 
 

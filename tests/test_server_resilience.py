@@ -495,14 +495,13 @@ class TestStreamJournal:
                           durable=True)
         assert journal.record_open(
             task, query=AVG_Q, seed=7, session_id="s-1",
-            session_name="mine", dataset_version=3)
+            session_name="mine")
         pending = journal.pending()
         assert set(pending) == {task.task_id}
         entry = pending[task.task_id]
         assert entry["query"] == AVG_Q
         assert entry["seed"] == 7
         assert entry["session_id"] == "s-1"
-        assert entry["dataset_version"] == 3
         task.state = "done"
         journal.record_close(task)
         assert journal.pending() == {}
@@ -630,6 +629,21 @@ class TestDurableResume:
         svc2 = self.make_service(tmp_path / "j")
         assert svc2.recover_streams() == 0
         svc2.shutdown(drain=False)
+
+    def test_entry_with_legacy_dataset_version_resumes(self, tmp_path):
+        """Journals written before ``dataset_version`` was dropped
+        carry the key (always null); their streams still resume."""
+        journal = StreamJournal(str(tmp_path / "j"))
+        journal.wal.append("stream_open", {
+            "task_id": "q-7", "tenant": "t", "session_id": "s-1",
+            "session_name": "mine", "query": AVG_Q, "seed": 5,
+            "weight": 1.0, "label": "avg", "dataset_version": None})
+        svc = self.make_service(tmp_path / "j")
+        assert svc.recover_streams() == 1
+        task = svc.get_task("t", "s-1", "q-7")
+        frames = self.run_to_completion(svc, "s-1", task)
+        svc.shutdown(drain=False)
+        assert frames[-1]["frame"] == "end"
 
     def test_new_ids_do_not_collide_after_recovery(self, tmp_path):
         svc = self.make_service(tmp_path / "j")
