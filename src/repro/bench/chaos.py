@@ -26,6 +26,8 @@ import sys
 
 import random
 
+from scipy import stats
+
 from repro.core.geometry import Rect
 from repro.core.records import Record
 from repro.core.sampling.base import take
@@ -49,15 +51,7 @@ K = 8
 
 
 def _chi2_sf(chi2: float, df: int) -> float:
-    """Chi-square survival function (scipy when present, else a
-    Wilson–Hilferty normal approximation — plenty for a tripwire)."""
-    try:
-        from scipy import stats
-    except ImportError:  # pragma: no cover - scipy ships in the image
-        import math
-        z = ((chi2 / df) ** (1 / 3)
-             - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
-        return 0.5 * math.erfc(z / math.sqrt(2))
+    """Chi-square survival function."""
     return float(stats.chi2.sf(chi2, df=df))
 
 

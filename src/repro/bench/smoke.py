@@ -23,7 +23,7 @@ import sys
 import time
 
 from repro.bench.harness import build_osm_dataset, fig3a_query
-from repro.core.blocks import RecordBlock, backend_name
+from repro.core.blocks import RecordBlock
 from repro.core.estimators.aggregates import AvgEstimator
 from repro.core.records import attribute_getter
 from repro.obs import profiled
@@ -165,7 +165,6 @@ def run_smoke(n: int = N, k: int = K, repeats: int = REPEATS,
         "workload": {"n": n, "k": k, "repeats": repeats,
                      "passes": PASSES, "seed": seed,
                      "pattern": "repeated-query"},
-        "backend": backend_name(),
         "block_cache": _block_cache_stats(dataset),
         "samplers": results,
     }
@@ -200,12 +199,10 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(report, f, indent=2)
         f.write("\n")
     bc = report.get("block_cache") or {}
-    line = f"block codec backend: {report['backend']}"
     if bc:
-        line += (f"; block cache {bc['bytes_per_point']:.1f} B/point "
-                 f"vs {bc['json_bytes_per_point']:.1f} JSON "
-                 f"({bc['points_per_byte_gain']:.1f}x denser)")
-    print(line)
+        print(f"block cache {bc['bytes_per_point']:.1f} B/point "
+              f"vs {bc['json_bytes_per_point']:.1f} JSON "
+              f"({bc['points_per_byte_gain']:.1f}x denser)")
     width = max(len(m) for m in report["samplers"])
     for method, entry in report["samplers"].items():
         line = (f"{method:<{width}}  "

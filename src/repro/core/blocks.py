@@ -18,62 +18,39 @@ arrays instead —
     index leaves, wire format         └──────────────────────────┘
                                       storage payloads (LSM runs)
 
-— so rect/time containment filters run as one pass over the arrays
-(vectorised under numpy, a tight zip loop otherwise) and estimators can
-absorb whole columns without materialising ``Record`` objects at all.
+— so rect/time containment filters run as one vectorised numpy pass
+over the arrays and estimators can absorb whole columns without
+materialising ``Record`` objects at all.
 
 The same layout doubles as a wire/storage format (:data:`BLOCK_MAGIC`
 header, little-endian, attrs as a trailing JSON side-table that decodes
 lazily), used by the LSM sealed-run files so simulated DFS I/O carries
 5-10x more points per byte than the JSON document encoding.
 
-**Dual path contract** (mirrors the Hilbert batch codec): every filter
-has a numpy fast path and a stdlib fallback producing identical results;
-``STORM_BLOCKS_BACKEND=stdlib`` forces the fallback (the CI leg without
-numpy installed exercises it for real).
+``array`` buffers are the storage/wire layout; numpy views over those
+same buffers are the one scan path.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
 import sys
 from array import array
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.core.records import Record
 from repro.errors import StorageError
 
-__all__ = ["BLOCK_MAGIC", "ColumnBlock", "RecordBlock", "backend_name",
-           "numpy_or_none", "is_block_payload"]
+__all__ = ["BLOCK_MAGIC", "ColumnBlock", "RecordBlock",
+           "is_block_payload"]
 
 #: Wire-format header of every encoded block ("STorm Block v1").
 BLOCK_MAGIC = b"STB1"
 
 _HEADER = struct.Struct("<4sBxxxqII")  # magic, dims, n, meta_len, attrs_len
-
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None
-if os.environ.get("STORM_BLOCKS_BACKEND", "").strip().lower() == "stdlib":
-    _numpy = None
-
-
-def numpy_or_none():
-    """The numpy module when the fast path is active, else ``None``.
-
-    Read at call time (not import time) so tests can disable the fast
-    path by monkeypatching ``repro.core.blocks._numpy``.
-    """
-    return _numpy
-
-
-def backend_name() -> str:
-    """Which filter/codec path is active: ``"numpy"`` or ``"stdlib"``."""
-    return "stdlib" if _numpy is None else "numpy"
-
 
 def _to_le(arr: array) -> bytes:
     if sys.byteorder == "big":  # pragma: no cover - LE hosts everywhere
@@ -193,51 +170,30 @@ class ColumnBlock:
 
     def _np_views(self):
         if self._views is None:
-            np = _numpy
             self._views = tuple(np.frombuffer(col, dtype=np.float64)
                                 for col in self.cols)
         return self._views
 
+    def _mask(self, lo: Sequence[float], hi: Sequence[float]):
+        views = self._np_views()
+        mask = (views[0] >= lo[0]) & (views[0] <= hi[0])
+        for d in range(1, len(views)):
+            mask &= (views[d] >= lo[d]) & (views[d] <= hi[d])
+        return mask
+
     def indices_in(self, lo: Sequence[float], hi: Sequence[float]
                    ) -> list[int]:
-        """Positions of points inside the closed box ``[lo, hi]``.
-
-        One vectorised pass under numpy; a tight zip loop otherwise.
-        Both paths return the same positions in ascending order.
-        """
-        if _numpy is not None and len(self.ids):
-            np = _numpy
-            views = self._np_views()
-            mask = (views[0] >= lo[0]) & (views[0] <= hi[0])
-            for d in range(1, len(views)):
-                mask &= (views[d] >= lo[d]) & (views[d] <= hi[d])
-            return np.nonzero(mask)[0].tolist()
-        if self.dims == 2:
-            xlo, ylo = lo[0], lo[1]
-            xhi, yhi = hi[0], hi[1]
-            return [i for i, (x, y) in enumerate(zip(*self.cols))
-                    if xlo <= x <= xhi and ylo <= y <= yhi]
-        if self.dims == 3:
-            xlo, ylo, tlo = lo[0], lo[1], lo[2]
-            xhi, yhi, thi = hi[0], hi[1], hi[2]
-            return [i for i, (x, y, t) in enumerate(zip(*self.cols))
-                    if xlo <= x <= xhi and ylo <= y <= yhi
-                    and tlo <= t <= thi]
-        cols = self.cols
-        return [i for i in range(len(self.ids))
-                if all(l <= col[i] <= h
-                       for col, l, h in zip(cols, lo, hi))]
+        """Positions of points inside the closed box ``[lo, hi]``, in
+        ascending order (one vectorised pass)."""
+        if not len(self.ids):
+            return []
+        return np.nonzero(self._mask(lo, hi))[0].tolist()
 
     def count_in(self, lo: Sequence[float], hi: Sequence[float]) -> int:
         """Number of points inside the closed box ``[lo, hi]``."""
-        if _numpy is not None and len(self.ids):
-            np = _numpy
-            views = self._np_views()
-            mask = (views[0] >= lo[0]) & (views[0] <= hi[0])
-            for d in range(1, len(views)):
-                mask &= (views[d] >= lo[d]) & (views[d] <= hi[d])
-            return int(np.count_nonzero(mask))
-        return len(self.indices_in(lo, hi))
+        if not len(self.ids):
+            return 0
+        return int(np.count_nonzero(self._mask(lo, hi)))
 
     def encode(self, meta: dict | None = None) -> bytes:
         """Wire-format bytes (:data:`BLOCK_MAGIC` header)."""

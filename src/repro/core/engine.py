@@ -18,7 +18,6 @@ import random
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from repro.core.blocks import backend_name as blocks_backend
 from repro.core.estimators.aggregates import (AvgEstimator, CountEstimator,
                                               SumEstimator)
 from repro.core.estimators.base import OnlineEstimator
@@ -322,7 +321,7 @@ class Dataset:
         counters["index"].update({
             "leaf storage":
                 f"columnar ({packed}/{leaves} leaves packed,"
-                f" {blocks_backend()} backend)" if packed else
+                " numpy backend)" if packed else
                 f"record-list ({leaves} leaves, no blocks built)",
             "vectorized filters": tree.vector_filters - before[2],
             "vectorized filter hits": tree.vector_filter_hits - before[3],

@@ -32,40 +32,12 @@ from repro.core.estimators.aggregates import (AvgEstimator, CountEstimator,
 from repro.core.estimators.base import Estimate, OnlineEstimator
 from repro.core.estimators.bootstrap import (BootstrapEstimator,
                                              bootstrap_interval)
+from repro.core.estimators.clustering import OnlineKMeans
 from repro.core.estimators.groupby import GroupByEstimator, GroupResult
 from repro.core.estimators.intervals import (ConfidenceInterval,
                                              hoeffding_interval,
                                              mean_interval)
-
-
-def _needs_numpy(name: str):
-    """A constructor-time stub for estimators whose module needs numpy.
-
-    The KDE and k-means estimators are genuinely vectorised — there is
-    no stdlib path for them — so on a host without numpy (the stdlib
-    CI leg) their names still import, but instantiating one raises a
-    typed :class:`~repro.errors.EstimatorError` instead of the bare
-    ``ImportError`` the eager import used to throw at package load.
-    """
-    from repro.errors import EstimatorError
-
-    class _Missing:
-        def __init__(self, *args, **kwargs):
-            raise EstimatorError(
-                f"{name} requires numpy, which is not installed")
-
-    _Missing.__name__ = _Missing.__qualname__ = name
-    return _Missing
-
-
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    from repro.core.estimators.clustering import OnlineKMeans
-    from repro.core.estimators.kde import GridSpec, OnlineKDE
-except ImportError:  # pragma: no cover
-    OnlineKMeans = _needs_numpy("OnlineKMeans")
-    GridSpec = _needs_numpy("GridSpec")
-    OnlineKDE = _needs_numpy("OnlineKDE")
-
+from repro.core.estimators.kde import GridSpec, OnlineKDE
 from repro.core.estimators.text import ShortTextEstimator, TermStat
 from repro.core.estimators.timeseries import TimeHistogramEstimator
 from repro.core.estimators.trajectory import TrajectoryEstimator

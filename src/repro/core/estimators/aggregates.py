@@ -15,10 +15,7 @@ import bisect
 import math
 from typing import Callable
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    from scipy import stats as _stats
-except ImportError:  # pragma: no cover
-    _stats = None
+from scipy import stats
 
 from repro.core.estimators.base import Estimate, OnlineEstimator, \
     RunningStats
@@ -36,20 +33,6 @@ __all__ = [
     "SumEstimator",
     "VarianceEstimator",
 ]
-
-
-def _scipy_stats():
-    """scipy.stats, or a typed error where no stdlib fallback exists.
-
-    AVG/SUM/COUNT/proportion intervals degrade gracefully without scipy
-    (see :mod:`repro.core.estimators.intervals`); the chi-square and
-    binomial quantiles below have no reasonable stdlib substitute.
-    """
-    if _stats is None:
-        raise EstimatorError(
-            "this estimator's confidence interval requires scipy, "
-            "which is not installed")
-    return _stats
 
 
 class AvgEstimator(OnlineEstimator):
@@ -248,9 +231,8 @@ class VarianceEstimator(OnlineEstimator):
         s2 = self.stats.variance
         df = self.k - 1
         alpha = 1.0 - level
-        chi2 = _scipy_stats().chi2
-        lo = df * s2 / float(chi2.ppf(1 - alpha / 2, df))
-        hi = df * s2 / float(chi2.ppf(alpha / 2, df))
+        lo = df * s2 / float(stats.chi2.ppf(1 - alpha / 2, df))
+        hi = df * s2 / float(stats.chi2.ppf(alpha / 2, df))
         value = s2
         if self.report_std:
             value = math.sqrt(s2)
@@ -290,9 +272,8 @@ class QuantileEstimator(OnlineEstimator):
         idx = min(k - 1, max(0, math.ceil(self.quantile * k) - 1))
         value = self.values[idx]
         # Binomial bracket: indices [l, u) covering the quantile w.p. level.
-        binom = _scipy_stats().binom
-        lo_idx = int(binom.ppf((1 - level) / 2, k, self.quantile))
-        hi_idx = int(binom.ppf((1 + level) / 2, k, self.quantile))
+        lo_idx = int(stats.binom.ppf((1 - level) / 2, k, self.quantile))
+        hi_idx = int(stats.binom.ppf((1 + level) / 2, k, self.quantile))
         lo_idx = max(0, min(lo_idx, k - 1))
         hi_idx = max(0, min(hi_idx, k - 1))
         interval = ConfidenceInterval(self.values[lo_idx],

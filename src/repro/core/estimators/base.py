@@ -14,7 +14,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.core.blocks import numpy_or_none as _numpy_or_none
+import numpy as np
+
 from repro.core.estimators.intervals import ConfidenceInterval
 from repro.core.records import Record
 from repro.errors import EstimatorError
@@ -180,18 +181,16 @@ class RunningStats:
     def add_many(self, values: "Sequence[float]") -> None:
         """Absorb a batch of values in one call.
 
-        With numpy available the batch's moments are computed
-        vectorised and folded in with one Chan et al. merge step
-        (exactly :meth:`merge` against a throwaway accumulator, so the
-        result matches the parallel-aggregation path bit-for-bit in
-        structure); tiny batches and the stdlib path take the Welford
-        loop.
+        The batch's moments are computed vectorised and folded in with
+        one Chan et al. merge step (exactly :meth:`merge` against a
+        throwaway accumulator, so the result matches the
+        parallel-aggregation path bit-for-bit in structure); tiny
+        batches take the Welford loop.
         """
         n = len(values)
         if n == 0:
             return
-        np = _numpy_or_none()
-        if np is not None and n >= 16:
+        if n >= 16:
             arr = np.asarray(values, dtype=np.float64)
             bmean = float(arr.mean())
             bm2 = float(((arr - bmean) ** 2).sum())

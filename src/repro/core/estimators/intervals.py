@@ -12,22 +12,15 @@ Small samples use the Student-t quantile rather than the normal one.  For
 attributes with known bounds, :func:`hoeffding_interval` offers a
 conservative distribution-free alternative.
 
-scipy is preferred but optional (the no-numpy CI leg runs without it):
-normal quantiles fall back to the stdlib ``statistics.NormalDist`` and
-Student-t quantiles to Hill's asymptotic expansion, accurate to a few
-1e-5 for the k ≥ 2 regime these intervals are built from.
+Normal and Student-t quantiles come from ``scipy.stats``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    from scipy import stats as _stats
-except ImportError:  # pragma: no cover
-    _stats = None
+from scipy import stats as _stats
 
 from repro.errors import EstimatorError
 
@@ -90,34 +83,12 @@ def finite_population_correction(k: int, q: int | None) -> float:
     return (q - k) / (q - 1)
 
 
-def _t_ppf_fallback(tail: float, df: int) -> float:
-    """Student-t quantile without scipy (Hill 1970 expansion).
-
-    Inverts the normal quantile through the Cornish-Fisher-style series
-    in 1/df; worst-case error is a few 1e-5 over the levels the
-    estimators request, collapsing to the normal quantile as df grows.
-    """
-    z = NormalDist().inv_cdf(tail)
-    if df >= 10**6:
-        return z
-    g1 = (z**3 + z) / 4.0
-    g2 = (5 * z**5 + 16 * z**3 + 3 * z) / 96.0
-    g3 = (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / 384.0
-    g4 = (79 * z**9 + 776 * z**7 + 1482 * z**5
-          - 1920 * z**3 - 945 * z) / 92160.0
-    return z + g1 / df + g2 / df**2 + g3 / df**3 + g4 / df**4
-
-
 def _critical_value(level: float, k: int, use_t: bool) -> float:
     if not 0.0 < level < 1.0:
         raise EstimatorError(f"confidence level must be in (0,1): {level}")
     tail = (1.0 + level) / 2.0
     if use_t and k >= 2:
-        if _stats is None:
-            return _t_ppf_fallback(tail, k - 1)
         return float(_stats.t.ppf(tail, df=k - 1))
-    if _stats is None:
-        return float(NormalDist().inv_cdf(tail))
     return float(_stats.norm.ppf(tail))
 
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import stats as _stats
 
 from repro.core.estimators.base import Estimate, OnlineEstimator
 from repro.core.estimators.intervals import finite_population_correction
@@ -164,7 +165,6 @@ class OnlineKDE(OnlineEstimator):
     def cell_intervals(self, level: float = 0.95
                        ) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) arrays of per-cell normal confidence bounds."""
-        from scipy import stats as _stats
         if self.k < 2:
             raise EstimatorError("need two samples for cell intervals")
         z = float(_stats.t.ppf((1 + level) / 2, df=self.k - 1))

@@ -43,7 +43,8 @@ import random
 from itertools import islice
 from typing import Iterator
 
-from repro.core.blocks import numpy_or_none
+import numpy as np
+
 from repro.core.geometry import Rect
 from repro.core.sampling.base import SpatialSampler
 from repro.core.sampling.permutation import (sample_without_replacement,
@@ -103,10 +104,8 @@ class RSTreeSampler(SpatialSampler):
         self._np_rng = None
 
     def _np_gen(self):
-        """The refill numpy Generator, or ``None`` on the stdlib path."""
-        np = numpy_or_none()
-        if np is None:
-            return None
+        """The refill numpy Generator (seeded from ``rng`` on first
+        use)."""
         if self._np_rng is None:
             self._np_rng = np.random.default_rng(self.rng.getrandbits(64))
         return self._np_rng
@@ -120,9 +119,9 @@ class RSTreeSampler(SpatialSampler):
         differs.
         """
         n = len(entries)
-        np_rng = self._np_gen() if n >= 16 else None
-        if np_rng is None:
+        if n < 16:
             return sample_without_replacement(entries, s, self.rng)
+        np_rng = self._np_gen()
         if s >= n:
             idx = np_rng.permutation(n)
         else:
@@ -170,91 +169,44 @@ class RSTreeSampler(SpatialSampler):
             cost.charge_entries(len(entries))
             node.sample_buffer = self._shuffled(entries, len(entries))
         else:
+            # The vectorised merge pays a fixed per-refill cost (one
+            # MVHG draw + one permutation) regardless of s, so batch
+            # consumers refill larger slices: same uniform WOR law for
+            # any prefix, far fewer refills.  The Generator is seeded
+            # here, before either branch, so the stream rng is consumed
+            # at the same point whichever branch runs.
             np_rng = self._np_gen()
-            if np_rng is not None:
-                # The vectorised merge pays a fixed per-refill cost
-                # (one MVHG draw + one permutation) regardless of s, so
-                # batch consumers refill larger slices: same uniform
-                # WOR law for any prefix, far fewer refills.
-                s = min(node.count, _REFILL_AMPLIFY * self.buffer_size)
-                if s >= node.count:
-                    # The amplified buffer covers the whole subtree: a
-                    # full shuffled enumeration needs no child merge,
-                    # no dedup, and can never fall short (mirrors the
-                    # small-subtree branch above).
-                    entries = list(_iter_subtree_entries(node))
-                    cost.charge_entries(len(entries))
-                    node.sample_buffer = self._shuffled(
-                        entries, len(entries))
-                else:
-                    node.sample_buffer = \
-                        self._merge_from_children_batched(
-                            node, s, cost, np_rng)
+            s = min(node.count, _REFILL_AMPLIFY * self.buffer_size)
+            if s >= node.count:
+                # The amplified buffer covers the whole subtree: a full
+                # shuffled enumeration needs no child merge, no dedup,
+                # and can never fall short (mirrors the small-subtree
+                # branch above).
+                entries = list(_iter_subtree_entries(node))
+                cost.charge_entries(len(entries))
+                node.sample_buffer = self._shuffled(entries, len(entries))
             else:
-                node.sample_buffer = self._merge_from_children(
-                    node, s, cost)
+                node.sample_buffer = self._merge_from_children_batched(
+                    node, s, cost, np_rng)
         node.buffer_pos = 0
 
-    def _merge_from_children(self, node: Node, s: int, cost: CostCounter
-                             ) -> list[Entry]:
-        """Draw s items from the subtree by interleaving child buffers.
+    def _merge_from_children_batched(self, node: Node, s: int,
+                                     cost: CostCounter, np_rng
+                                     ) -> list[Entry]:
+        """Draw s items from the subtree by consuming child buffers.
 
         A refill gathers the distinct child blocks it needs and reads
         them in layout order — one sweep per batch, so the charged I/O is
         (mostly sequential) per *block*, not per sample.
 
-        With numpy the interleave is composed in one step: the joint
-        law of per-child draw counts under s WOR draws is multivariate
+        The interleave is composed in one step: the joint law of
+        per-child draw counts under s WOR draws is multivariate
         hypergeometric over the child counts, so each child's share is
         drawn as one contiguous consumption of its buffer and the
         merged batch is shuffled back into exchangeable order — same
-        distribution as the per-draw Fenwick interleave, two orders of
-        magnitude fewer RNG calls.
+        distribution as a per-draw remaining-count interleave, two
+        orders of magnitude fewer RNG calls.
         """
-        children = node.children or []
-        fen = FenwickSampler([c.count for c in children])
-        batch: list[Entry] = []
-        seen: set[int] = set()
-        touched: set[int] = set()
-        attempts = 0
-        max_attempts = 4 * s + 16
-        while len(batch) < s and fen.total > 0 \
-                and attempts < max_attempts:
-            attempts += 1
-            idx = fen.sample(self.rng)
-            child = children[idx]
-            touched.add(child.node_id)
-            entry = self._draw_from_subtree(child, cost)
-            fen.add(idx, -1)
-            if entry.item_id in seen:
-                # A child's buffer wrapped mid-batch; skip the duplicate.
-                cost.charge_rejection()
-                continue
-            seen.add(entry.item_id)
-            batch.append(entry)
-        if len(batch) < s:
-            # Duplicate-heavy merge (or exhausted remaining-count
-            # arithmetic): finish the batch from the not-yet-drawn
-            # remainder of the subtree instead of silently returning
-            # fewer than s entries.  A shuffled scan of the unseen
-            # entries continues the uniform without-replacement draw
-            # exactly.
-            pool = [e for e in _iter_subtree_entries(node)
-                    if e.item_id not in seen]
-            self._charge_subtree_scan(node, cost)
-            cost.charge_entries(node.count)
-            for entry in streaming_shuffle(pool, self.rng):
-                batch.append(entry)
-                if len(batch) >= s:
-                    break
-        for node_id in sorted(touched):
-            cost.charge_node(node_id)
-        return batch
-
-    def _merge_from_children_batched(self, node: Node, s: int,
-                                     cost: CostCounter, np_rng
-                                     ) -> list[Entry]:
-        """Vectorised child-buffer merge (see `_merge_from_children`)."""
         children = node.children or []
         counts = [c.count for c in children]
         take = min(s, sum(counts))
@@ -656,16 +608,15 @@ class _CanonStream:
         for i, share in self._allocate(b):
             if i == residual_source:
                 # `share` partial Fisher-Yates steps over the residual
-                # pool in one pass; the numpy path pre-draws the
-                # uniforms (one RNG call for the whole share instead of
-                # `share` python randrange calls) but performs the
-                # identical swap walk.
+                # pool in one pass; larger shares pre-draw the uniforms
+                # (one RNG call for the whole share instead of `share`
+                # python randrange calls) but perform the identical
+                # swap walk.
                 pool = self._residual_pool
                 n = len(pool)
                 pos = self._residual_pos
-                np_rng = self._np_rng
-                if np_rng is not None and share >= 8:
-                    us = np_rng.random(share).tolist()
+                if share >= 8:
+                    us = self._np_rng.random(share).tolist()
                     for x in range(share):
                         j = pos + int(us[x] * (n - pos))
                         pool[pos], pool[j] = pool[j], pool[pos]
@@ -759,11 +710,8 @@ class _CanonStream:
         # The per-source fills above come out grouped by source; a
         # final shuffle restores exchangeability so the batch is a
         # uniformly ordered WOR sample sequence.
-        if self._np_rng is not None:
-            order = self._np_rng.permutation(len(out)).tolist()
-            out = [out[j] for j in order]
-        else:
-            self._rng.shuffle(out)
+        order = self._np_rng.permutation(len(out)).tolist()
+        out = [out[j] for j in order]
         self._cost.charge_sample(len(out))
         return out
 
@@ -773,38 +721,17 @@ class _CanonStream:
         The joint distribution of per-source draw counts under b
         uniform WOR draws from the union of disjoint pools is
         multivariate hypergeometric over the remaining counts; numpy
-        samples it directly, the stdlib path realises the same law by
-        bucketing b distinct uniform positions of the union.
+        samples it directly.
         """
-        remaining = self._remaining
-        np = numpy_or_none()
-        if np is not None:
-            if self._np_rng is None:
-                # Seeded from the stream rng, created only when the
-                # first batch is requested, so single-draw streams
-                # consume the stream rng exactly as before.
-                self._np_rng = np.random.default_rng(
-                    self._rng.getrandbits(64))
-            shares = self._np_rng.multivariate_hypergeometric(
-                remaining, b, method="count")
-            nz = np.flatnonzero(shares)
-            return list(zip(nz.tolist(), shares[nz].tolist()))
-        positions = sorted(self._rng.sample(range(self._total), b))
-        alloc: list[tuple[int, int]] = []
-        it = iter(positions)
-        pos: int | None = next(it)
-        bound = 0
-        for i, r in enumerate(remaining):
-            bound += r
-            share = 0
-            while pos is not None and pos < bound:
-                share += 1
-                pos = next(it, None)
-            if share:
-                alloc.append((i, share))
-            if pos is None:
-                break
-        return alloc
+        if self._np_rng is None:
+            # Seeded from the stream rng, created only when the first
+            # batch is requested, so single-draw streams consume the
+            # stream rng exactly as before.
+            self._np_rng = np.random.default_rng(self._rng.getrandbits(64))
+        shares = self._np_rng.multivariate_hypergeometric(
+            self._remaining, b, method="count")
+        nz = np.flatnonzero(shares)
+        return list(zip(nz.tolist(), shares[nz].tolist()))
 
     def _switch_to_enum(self, i: int) -> Iterator[Entry]:
         """Enumerate source i's unseen remainder (same charges as the

@@ -16,10 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-try:  # numpy accelerates the batch paths; scalar paths need nothing.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the repo
-    _np = None
+import numpy as _np
 
 from repro.core.geometry import Rect
 from repro.errors import GeometryError
@@ -130,13 +127,12 @@ def hilbert_index_batch(coords, bits: int) -> list[int]:
     :func:`hilbert_index` per row, but the Skilling transpose runs as
     whole-array bitwise operations (the per-point Python interpreter
     cost is what dominates bulk loads — sealing LSM runs and
-    compactions call this on every batch).  Falls back to the scalar
-    loop when numpy is unavailable or a key would overflow ``int64``.
+    compactions call this on every batch).  The scalar loop is only the
+    fallback for keys that would overflow ``int64`` (and for empty or
+    non-2-d input).
     """
-    rows = _np.asarray(coords, dtype=_np.int64) if _np is not None \
-        else None
-    if rows is None or rows.ndim != 2 or rows.shape[0] == 0 \
-            or rows.shape[1] * bits > 62:
+    rows = _np.asarray(coords, dtype=_np.int64)
+    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] * bits > 62:
         return [hilbert_index(tuple(int(c) for c in row), bits)
                 for row in coords]
     n, dim = rows.shape
@@ -245,8 +241,6 @@ class HilbertEncoder:
         pts = list(points)
         if not pts:
             return []
-        if _np is None:
-            return [self.key(p) for p in pts]
         arr = _np.asarray(pts, dtype=_np.float64)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise GeometryError(

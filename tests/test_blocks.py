@@ -10,10 +10,14 @@ blocks), columnar estimator absorption against per-record absorption
 (hypothesis round-trip property; LSM run files restore only from the
 block format, and a run file in the old JSON layout is rejected).
 
-The numpy and stdlib paths are both exercised by monkeypatching
-``repro.core.blocks._numpy`` — the same switch the
-``STORM_BLOCKS_BACKEND=stdlib`` env override and the no-numpy CI leg
-flip for real.
+Positional scan results are also checked against a brute-force
+``Rect.contains_point`` loop written out in the test itself, so the
+vectorised mask has a reference independent of the module under test.
+
+The ``backend`` fixture runs most tests on both sides of the split that
+remains between numpy and the standard library: blocks hold stdlib
+``array`` buffers that numpy views scan, and estimator columns are
+folded in by numpy from 16 values up and by a Welford loop below that.
 """
 
 import json
@@ -25,9 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.blocks as blocks_mod
 from repro.core.blocks import (BLOCK_MAGIC, ColumnBlock, RecordBlock,
-                               backend_name, is_block_payload)
+                               is_block_payload)
 from repro.core.estimators.aggregates import AvgEstimator, SumEstimator
 from repro.core.geometry import Rect
 from repro.core.records import Record, attribute_getter
@@ -36,15 +39,47 @@ from repro.index.rtree import RTree
 
 from tests.conftest import brute_force_range, make_points
 
+#: Batch size below ``RunningStats.add_many``'s vectorisation threshold.
+SMALL_BATCH = 8
+
 
 @pytest.fixture(params=["numpy", "stdlib"])
-def backend(request, monkeypatch):
-    """Run the decorated test under both filter/codec paths."""
-    if request.param == "stdlib":
-        monkeypatch.setattr(blocks_mod, "_numpy", None)
-    elif blocks_mod._numpy is None:
-        pytest.skip("numpy not installed")
+def backend(request):
+    """Which side of the numpy/stdlib split a test feeds its data to.
+
+    ``numpy``: blocks are used as built and estimators get each column
+    in one batch, so ``add_many`` takes its vectorised branch.
+    ``stdlib``: blocks are first rebuilt from their wire bytes (the
+    ``struct``/``array`` codec) and estimators get columns in batches
+    of :data:`SMALL_BATCH`, so ``add_many`` runs its Welford loop.
+    """
     return request.param
+
+
+def via(backend, block):
+    """``block`` as built, or rebuilt from its encoded bytes."""
+    if backend == "stdlib":
+        block, _ = type(block).decode(block.encode())
+    return block
+
+
+def _batches(backend, n):
+    if backend == "numpy" or n == 0:
+        return [slice(0, n)]
+    return [slice(i, i + SMALL_BATCH) for i in range(0, n, SMALL_BATCH)]
+
+
+def absorb_columns(backend, est, lons, lats, ts):
+    """``est.absorb_columns`` over the batches ``backend`` selects."""
+    return all(est.absorb_columns(lons[s], lats[s],
+                                  None if ts is None else ts[s])
+               for s in _batches(backend, len(lons)))
+
+
+def absorb_entries(backend, est, entries, lookup):
+    """``est.absorb_entry_batch`` over the batches ``backend`` selects."""
+    for s in _batches(backend, len(entries)):
+        est.absorb_entry_batch(entries[s], lookup)
 
 
 def make_records(n, seed=3):
@@ -77,7 +112,7 @@ class TestScanEquivalence:
         points = make_points(1500, seed=dims, dims=dims)
         tree = RTree(dims=dims, leaf_capacity=32)
         tree.bulk_load(points)
-        block = ColumnBlock.from_points(points, dims)
+        block = via(backend, ColumnBlock.from_points(points, dims))
         for rect in rects:
             want = brute_force_range(points, rect)
             got = {e.item_id for e in tree.range_query(rect)}
@@ -88,35 +123,34 @@ class TestScanEquivalence:
             assert block.count_in(rect.lo, rect.hi) == len(want)
             assert hits == sorted(hits)
 
-    def test_both_paths_agree_positionally(self):
-        if blocks_mod._numpy is None:
-            pytest.skip("numpy not installed")
-        points = make_points(800, seed=19, dims=3)
-        block = ColumnBlock.from_points(points, 3)
-        rect = Rect((10, 10, 10), (70, 70, 70))
-        fast = block.indices_in(rect.lo, rect.hi)
-        saved, blocks_mod._numpy = blocks_mod._numpy, None
-        try:
-            slow = block.indices_in(rect.lo, rect.hi)
-        finally:
-            blocks_mod._numpy = saved
-        assert fast == slow
+    @pytest.mark.parametrize("rect", [
+        Rect((10, 10), (70, 70)),
+        Rect((10, 10, 10), (70, 70, 70)),
+    ], ids=["2d", "3d"])
+    def test_positions_match_brute_force(self, rect):
+        points = make_points(800, seed=19, dims=rect.dim)
+        block = ColumnBlock.from_points(points, rect.dim)
+        want = [i for i in range(len(block))
+                if rect.contains_point(block.point(i))]
+        assert 0 < len(want) < len(block)
+        assert block.indices_in(rect.lo, rect.hi) == want
 
     def test_empty_block(self, backend):
-        block = ColumnBlock(array("q"), [array("d"), array("d")])
+        block = via(backend,
+                    ColumnBlock(array("q"), [array("d"), array("d")]))
         assert len(block) == 0
         assert block.indices_in((0, 0), (100, 100)) == []
         assert block.count_in((0, 0), (100, 100)) == 0
 
     def test_single_record_block(self, backend):
-        block = ColumnBlock.from_points([(7, (5.0, 6.0))], 2)
+        block = via(backend, ColumnBlock.from_points([(7, (5.0, 6.0))], 2))
         assert block.indices_in((0, 0), (10, 10)) == [0]
         assert block.indices_in((0, 0), (4, 10)) == []
         assert block.point(0) == (5.0, 6.0)
 
     def test_boundaries_inclusive(self, backend):
-        block = ColumnBlock.from_points(
-            [(1, (0.0, 0.0)), (2, (10.0, 10.0)), (3, (10.0001, 5.0))], 2)
+        block = via(backend, ColumnBlock.from_points(
+            [(1, (0.0, 0.0)), (2, (10.0, 10.0)), (3, (10.0001, 5.0))], 2))
         hits = block.indices_in((0, 0), (10, 10))
         assert {block.ids[i] for i in hits} == {1, 2}
 
@@ -162,9 +196,9 @@ class TestEstimatorEquivalence:
         records = make_records(700)
         fast = AvgEstimator(attribute_getter(column))
         assert fast.supports_columns
-        ok = fast.absorb_columns([r.lon for r in records],
-                                 [r.lat for r in records],
-                                 [r.t for r in records])
+        ok = absorb_columns(backend, fast, [r.lon for r in records],
+                            [r.lat for r in records],
+                            [r.t for r in records])
         assert ok and fast.k == len(records)
         slow = AvgEstimator(attribute_getter(column))
         for r in records:
@@ -179,8 +213,8 @@ class TestEstimatorEquivalence:
         slow = SumEstimator(attribute_getter("lon"))
         for est in (fast, slow):
             est.set_population_size(5000)
-        assert fast.absorb_columns([r.lon for r in records],
-                                   [r.lat for r in records], None)
+        assert absorb_columns(backend, fast, [r.lon for r in records],
+                              [r.lat for r in records], None)
         for r in records:
             slow.absorb(r)
         a, b = fast.estimate(), slow.estimate()
@@ -191,9 +225,9 @@ class TestEstimatorEquivalence:
         records = make_records(50, seed=31)
         est = AvgEstimator(attribute_getter("v"))
         assert not est.supports_columns
-        assert not est.absorb_columns([1.0], [2.0], None)
+        assert not absorb_columns(backend, est, [1.0], [2.0], None)
         entries, lookup = _entries_and_lookup(records, 2)
-        est.absorb_entry_batch(entries, lookup)
+        absorb_entries(backend, est, entries, lookup)
         slow = AvgEstimator(attribute_getter("v"))
         for r in records:
             slow.absorb(r)
@@ -207,7 +241,7 @@ class TestEstimatorEquivalence:
         entries, lookup = _entries_and_lookup(records, dims)
         assert len(entries) == len(records)
         fast = AvgEstimator(attribute_getter("lon"))
-        fast.absorb_entry_batch(entries, lookup)
+        absorb_entries(backend, fast, entries, lookup)
         slow = AvgEstimator(attribute_getter("lon"))
         for e in entries:
             slow.absorb(lookup(e.item_id))
@@ -217,13 +251,12 @@ class TestEstimatorEquivalence:
 
     def test_empty_batch_is_noop(self, backend):
         est = AvgEstimator(attribute_getter("lon"))
-        est.absorb_entry_batch([], lambda _: None)
+        absorb_entries(backend, est, [], lambda _: None)
         assert est.k == 0
-        assert est.absorb_columns([], [], None)
+        assert absorb_columns(backend, est, [], [], None)
         assert est.k == 0
 
     def test_kde_columns_vs_records(self):
-        pytest.importorskip("numpy")
         from repro.core.estimators.kde import GridSpec, OnlineKDE
         records = make_records(300, seed=41)
         grid = GridSpec(0, 0, 100, 100, nx=8, ny=8)
@@ -247,7 +280,7 @@ class TestEstimatorEquivalence:
 class TestCodec:
     def test_column_block_roundtrip_with_meta(self, backend):
         points = make_points(64, seed=2, dims=3)
-        block = ColumnBlock.from_points(points, 3)
+        block = via(backend, ColumnBlock.from_points(points, 3))
         payload = block.encode(meta={"kind": "leaf", "level": 0})
         assert is_block_payload(payload)
         assert payload[:4] == BLOCK_MAGIC
@@ -259,7 +292,7 @@ class TestCodec:
 
     def test_record_block_lazy_attrs(self, backend):
         records = make_records(20)
-        payload = RecordBlock.from_records(records).encode()
+        payload = via(backend, RecordBlock.from_records(records)).encode()
         back, _ = RecordBlock.decode(payload)
         # Lazy-attrs contract: decoding must not parse the side-table.
         assert back._attrs is None and back._attrs_raw
@@ -269,7 +302,7 @@ class TestCodec:
 
     def test_empty_attrs_encode_to_nothing(self, backend):
         records = [Record(i, lon=float(i), lat=0.0) for i in range(5)]
-        block = RecordBlock.from_records(records)
+        block = via(backend, RecordBlock.from_records(records))
         assert block._attrs is None
         back, _ = RecordBlock.decode(block.encode())
         assert back.attrs(0) == {}
@@ -280,8 +313,8 @@ class TestCodec:
             ColumnBlock.decode(b"JUNK" + b"\x00" * 40)
 
     def test_rejects_truncation(self, backend):
-        payload = ColumnBlock.from_points(
-            make_points(10, seed=1), 2).encode()
+        payload = via(backend, ColumnBlock.from_points(
+            make_points(10, seed=1), 2)).encode()
         with pytest.raises(StorageError):
             ColumnBlock.decode(payload[:-5])
         with pytest.raises(StorageError):
@@ -295,8 +328,8 @@ class TestCodec:
                         array("d", [2.0]), array("d", []))
 
     def test_record_block_wrong_column_count(self, backend):
-        payload = ColumnBlock.from_points(
-            make_points(4, seed=8), 2).encode()
+        payload = via(backend, ColumnBlock.from_points(
+            make_points(4, seed=8), 2)).encode()
         with pytest.raises(StorageError):
             RecordBlock.decode(payload)
 
@@ -396,14 +429,3 @@ class TestRunPayloads:
         assert not is_block_payload(b"")
         assert is_block_payload(BLOCK_MAGIC + b"anything")
 
-
-class TestBackendSwitch:
-    def test_backend_name_reports_stdlib(self, monkeypatch):
-        monkeypatch.setattr(blocks_mod, "_numpy", None)
-        assert backend_name() == "stdlib"
-
-    def test_backend_name_reports_numpy(self):
-        if blocks_mod._numpy is None:
-            assert backend_name() == "stdlib"
-        else:
-            assert backend_name() == "numpy"

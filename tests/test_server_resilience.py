@@ -371,7 +371,8 @@ class TestLoadShedding:
     def test_heavier_tenant_sheds_lightest_queued(self):
         svc = self.make_service()
         try:
-            svc.submit_stream("light-1", {"query": AVG_Q, "seed": 1})
+            active = svc.submit_stream("light-1",
+                                       {"query": AVG_Q, "seed": 1})
             queued = svc.submit_stream("light-2",
                                        {"query": AVG_Q, "seed": 2})
             heavy = svc.submit_stream("heavy",
@@ -379,6 +380,9 @@ class TestLoadShedding:
             final = queued.drain_frames(timeout=10)[-1]
             assert final["frame"] == "error"
             assert final["code"] == "shed"
+            # Read light-1 to its end so its slot frees now, not when
+            # the abandoned-stream reaper fires.
+            assert active.drain_frames(timeout=60)[-1]["frame"] == "end"
             assert heavy.drain_frames(
                 timeout=60)[-1]["frame"] == "end"
             assert counter_total(
