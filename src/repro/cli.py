@@ -23,12 +23,11 @@ Observability hooks:
   and ``EXPLAIN ANALYZE <query>`` runs the query under a trace and
   prints the per-phase cost report;
 * ``stats --watch N`` re-renders the dashboard every N seconds;
-* ``--metrics-port PORT`` serves ``/metrics`` (Prometheus text),
-  ``/metrics.json`` and ``/health`` for the life of the process, and
-  the ``serve-metrics`` subcommand does only that;
 * the ``serve`` subcommand runs the full multi-tenant query service
   over HTTP — progressive NDJSON streams, named sessions, fair
-  scheduling and admission control (see docs/service.md);
+  scheduling and admission control (see docs/service.md) — and is
+  the one process that serves ``/metrics`` (Prometheus text),
+  ``/metrics.json`` and ``/health``;
 * ``--profile FILE`` runs the sampling profiler and writes collapsed
   stacks (flamegraph format) to FILE on exit.
 
@@ -56,8 +55,8 @@ from repro.core.engine import StormEngine
 from repro.distributed.dataset import DistributedDataset
 from repro.errors import StormError
 from repro.faults import FaultPlan
-from repro.obs import (NULL_OBS, MetricsEndpoint, Observability,
-                       profiled, render_dashboard, write_jsonl)
+from repro.obs import (NULL_OBS, Observability, profiled,
+                       render_dashboard, write_jsonl)
 from repro.query.executor import QueryExecutor
 from repro.storage.dfs import SimulatedDFS
 from repro.storage.document_store import DocumentStore
@@ -117,8 +116,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "recover":
         return _recover_main(argv[1:])
-    if argv and argv[0] == "serve-metrics":
-        return _serve_metrics_main(argv[1:])
     if argv and argv[0] == "serve":
         return _serve_main(argv[1:])
     stats_mode = bool(argv) and argv[0] == "stats"
@@ -159,10 +156,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--wal-segment-bytes", type=int, default=65536,
                         help="WAL segment roll threshold in bytes "
                              "(default 65536)")
-    parser.add_argument("--metrics-port", type=int, metavar="PORT",
-                        help="serve /metrics, /metrics.json and "
-                             "/health on PORT for the life of the "
-                             "process (0 = ephemeral port)")
     parser.add_argument("--profile", metavar="FILE",
                         help="run the sampling profiler and write "
                              "collapsed stacks (flamegraph format) "
@@ -199,10 +192,9 @@ def main(argv: list[str] | None = None) -> int:
         except StormError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    # Instrumentation is opt-in: only --trace / stats / the live
-    # endpoint / the profiler pay for it.
-    live = bool(args.trace or stats_mode
-                or args.metrics_port is not None or args.profile)
+    # Instrumentation is opt-in: only --trace / stats / the profiler
+    # pay for it.
+    live = bool(args.trace or stats_mode or args.profile)
     obs = Observability() if live else NULL_OBS
     try:
         if args.store_root:
@@ -233,18 +225,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     try:
         with contextlib.ExitStack() as stack:
-            if args.metrics_port is not None:
-                try:
-                    endpoint = MetricsEndpoint(
-                        obs.registry, port=args.metrics_port,
-                        health=_health_probe(obs.registry)).start()
-                except OSError as exc:
-                    print(f"error: cannot bind metrics port: {exc}",
-                          file=sys.stderr)
-                    return 1
-                stack.callback(endpoint.stop)
-                print(f"metrics: {endpoint.url}/metrics",
-                      file=sys.stderr)
             if args.profile:
                 stack.enter_context(profiled(
                     args.profile, hz=args.profile_hz,
@@ -283,36 +263,6 @@ def main(argv: list[str] | None = None) -> int:
             trace_file.close()
 
 
-def _health_probe(registry):
-    """Build the /health document source: WAL, recovery and cluster
-    coverage state read straight out of the live registry."""
-    def probe() -> dict:
-        snap = registry.snapshot()
-        gauges = snap["gauges"]
-        counters = snap["counters"]
-        coverage = gauges.get("storm.cluster.coverage", 1.0)
-        return {
-            "status": "ok" if coverage >= 1.0 else "degraded",
-            "cluster": {
-                "workers": int(gauges.get("storm.cluster.workers", 0)),
-                "coverage": coverage,
-                "crashes": counters.get(
-                    "storm.cluster.fault.crashes", 0),
-            },
-            "wal": {
-                "appends": counters.get("storm.wal.appends", 0),
-                "checkpoints": counters.get(
-                    "storm.wal.checkpoints", 0),
-            },
-            "recovery": {
-                "runs": counters.get("storm.recovery.runs", 0),
-                "records_replayed": counters.get(
-                    "storm.recovery.records_replayed", 0),
-            },
-        }
-    return probe
-
-
 def _watch_stats(registry, interval: int, count: int) -> int:
     """``stats --watch N``: re-render the dashboard every N seconds
     (``count`` bounds the renders; 0 means until interrupted)."""
@@ -348,70 +298,6 @@ def _load_persisted(store_root: str, seed: int, obs: Observability,
                                or report.bytes_discarded):
         print(report.render(), file=sys.stderr)
     return engine
-
-
-def _serve_metrics_main(argv: list[str]) -> int:
-    """``storm-query serve-metrics``: load datasets with a live
-    registry, optionally run one query, then serve /metrics,
-    /metrics.json and /health until interrupted (or --duration)."""
-    parser = argparse.ArgumentParser(
-        prog="storm-query serve-metrics",
-        description="Serve the live metrics endpoint over loaded "
-                    "datasets: /metrics (Prometheus text), "
-                    "/metrics.json (registry snapshot + window), "
-                    "/health (WAL/recovery/coverage status).")
-    parser.add_argument("--dataset", action="append", default=[],
-                        help="dataset(s) to load (repeatable; "
-                             "default osm)")
-    parser.add_argument("--n", type=int, default=20_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=0)
-    parser.add_argument("--replication", type=int, default=1)
-    parser.add_argument("--port", type=int, default=9188,
-                        help="port to bind (0 = ephemeral; "
-                             "default 9188)")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--query",
-                        help="run this query once before serving, so "
-                             "the scrape has data")
-    parser.add_argument("--duration", type=float,
-                        help="serve for this many seconds then exit "
-                             "(default: until interrupted)")
-    args = parser.parse_args(argv)
-    obs = Observability()
-    try:
-        engine = build_engine(args.dataset or ["osm"], args.n,
-                              args.seed, obs=obs,
-                              workers=args.workers,
-                              replication=args.replication)
-        if args.query:
-            executor = QueryExecutor(engine,
-                                     rng=random.Random(args.seed))
-            print(executor.execute(args.query).summary())
-    except StormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        endpoint = MetricsEndpoint(
-            obs.registry, host=args.host, port=args.port,
-            health=_health_probe(obs.registry)).start()
-    except OSError as exc:
-        print(f"error: cannot bind {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 1
-    print(f"serving {endpoint.url}/metrics (Ctrl-C to stop)",
-          file=sys.stderr)
-    try:
-        if args.duration is not None:
-            time.sleep(args.duration)
-        else:
-            while True:
-                time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        endpoint.stop()
-    return 0
 
 
 def _parse_tokens(pairs: list[str]) -> dict[str, str]:

@@ -14,14 +14,16 @@ are shared no-ops: instrumented code pays one attribute read plus one
 ``enabled`` check, so the sampler hot paths stay benchmark-neutral
 until a caller opts in with ``Observability()`` (live) — the CLI's
 ``--trace``/``stats`` modes, the EXPLAIN report and the bench harness
-all do.
+all do.  The query service (``storm-query serve``,
+:class:`repro.server.http.StormServer`) is the one HTTP face of a live
+registry: ``/metrics`` renders it with :func:`render_prometheus` and
+``/metrics.json`` returns its snapshot plus the sliding window.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.obs.endpoint import MetricsEndpoint
 from repro.obs.export import (metrics_record, render_dashboard,
                               span_records, write_jsonl)
 from repro.obs.explain import phase_costs, render_explain
@@ -40,8 +42,7 @@ __all__ = ["Observability", "NULL_OBS", "MetricsRegistry",
            "NullTracer", "NULL_TRACER", "Span", "TraceContext",
            "span_records", "metrics_record", "write_jsonl",
            "render_dashboard", "render_explain", "phase_costs",
-           "SamplingProfiler", "profiled", "render_prometheus",
-           "MetricsEndpoint"]
+           "SamplingProfiler", "profiled", "render_prometheus"]
 
 
 class Observability:

@@ -20,11 +20,12 @@ This module is the zero-dependency substrate those signals land on:
   the instrument lookup, so untraced runs pay a single attribute read.
 
 The registry is thread-safe so background threads (the sampling
-profiler, the metrics endpoint, watch-mode dashboards) can publish and
-read concurrently: instrument get-or-create takes a single lock (with
-a lock-free hit path), while the hot-path mutators — ``Counter.inc``,
-``Gauge.set``/``add``, ``Histogram.observe`` — stay lock-free; under
-CPython each is a handful of GIL-atomic operations on one instrument.
+profiler, the service's /metrics route, watch-mode dashboards) can
+publish and read concurrently: instrument get-or-create takes a single
+lock (with a lock-free hit path), while the hot-path mutators —
+``Counter.inc``, ``Gauge.set``/``add``, ``Histogram.observe`` — stay
+lock-free; under CPython each is a handful of GIL-atomic operations on
+one instrument.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ class SamplingProfiler:
     slow stack walk just lowers the effective rate).  ``registry``
     (optional) receives ``storm.profile.samples`` / ``.stacks`` /
     ``.threads`` so profiler activity is visible on the dashboard and
-    the metrics endpoint without touching any engine counter.
+    the service's /metrics route without touching any engine counter.
     """
 
     def __init__(self, hz: float = DEFAULT_HZ,

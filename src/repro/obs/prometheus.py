@@ -17,7 +17,7 @@ Mapping choices:
   conventional ``{quantile=...}`` gauge lines for p50/p90/p99 so the
   scrape answers tail-latency questions without PromQL;
 * output is deterministic for a given registry state (sorted names
-  and labels), which the endpoint tests rely on.
+  and labels), which the scrape tests rely on.
 """
 
 from __future__ import annotations

@@ -30,10 +30,10 @@ simulated wire so workers can tag their own per-pull accounting with
 the originating trace (see ``repro.distributed.cluster.Worker``).
 
 **Threads.**  The open-span stack is thread-local: spans begun on a
-background thread (the profiler, the metrics endpoint) start their own
-roots instead of grafting into another thread's open query tree, so a
-traced query's leaf deltas keep summing exactly to its session totals
-no matter what other threads are doing.  Root/ids bookkeeping is
+background thread (the profiler, an HTTP request thread) start their
+own roots instead of grafting into another thread's open query tree,
+so a traced query's leaf deltas keep summing exactly to its session
+totals no matter what other threads are doing.  Root/ids bookkeeping is
 lock-protected.
 """
 

@@ -243,7 +243,13 @@ class _Handler(BaseHTTPRequestHandler):
     # -- request helpers -------------------------------------------------
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        raw = self.headers.get("Content-Length", 0) or 0
+        try:
+            length = int(raw)
+        except ValueError:
+            raise ApiError(400, "bad_request",
+                           "Content-Length must be an integer, "
+                           f"got {raw!r}")
         if length <= 0:
             return b""
         return self.rfile.read(length)

@@ -1,5 +1,5 @@
-"""Operational tooling: the bench regression gate and the new CLI
-telemetry surface (stats --watch, --metrics-port, serve-metrics)."""
+"""Operational tooling: the bench regression gate and the CLI
+telemetry surface (stats, stats --watch, --profile, serve)."""
 
 import importlib.util
 import json
@@ -203,14 +203,6 @@ class TestCLITelemetry:
         rc = main(["stats", "--n", "100", "--watch", "0"])
         assert rc == 1
 
-    def test_metrics_port_serves_for_query(self, capsys):
-        rc = main(["--dataset", "osm", "--n", "300",
-                   "--metrics-port", "0", "--query", QUERY])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "metrics: http://127.0.0.1:" in captured.err
-        assert "value=300" in captured.out
-
     def test_profile_writes_collapsed_stacks(self, tmp_path, capsys):
         out = tmp_path / "cli.collapsed"
         rc = main(["--dataset", "osm", "--n", "5000",
@@ -227,43 +219,10 @@ class TestCLITelemetry:
             assert int(count) >= 1
             assert stack
 
-    def test_serve_metrics_duration_exits(self, capsys):
-        rc = main(["serve-metrics", "--dataset", "osm", "--n", "200",
-                   "--port", "0", "--duration", "0.05",
-                   "--query", QUERY])
+    def test_serve_duration_exits(self, capsys):
+        rc = main(["serve", "--dataset", "osm", "--n", "200",
+                   "--port", "0", "--duration", "0.05"])
         assert rc == 0
-        captured = capsys.readouterr()
-        assert "serving http://127.0.0.1:" in captured.err
-        assert "value=200" in captured.out
-
-    def test_serve_metrics_scrape_while_serving(self):
-        # Bind an endpoint the way serve-metrics does and scrape it:
-        # the Prometheus page must carry the query's histogram.
-        import threading
-        import urllib.request
-
-        from repro.cli import build_engine, _health_probe
-        from repro.obs import MetricsEndpoint, Observability
-        from repro.query.executor import QueryExecutor
-        import random as _random
-
-        obs = Observability()
-        engine = build_engine(["osm"], 300, 0, obs=obs)
-        QueryExecutor(engine, rng=_random.Random(0)).execute(QUERY)
-        endpoint = MetricsEndpoint(
-            obs.registry, port=0,
-            health=_health_probe(obs.registry)).start()
-        try:
-            with urllib.request.urlopen(
-                    f"{endpoint.url}/metrics", timeout=5) as resp:
-                body = resp.read().decode()
-            assert "storm_sample_latency_seconds_bucket" in body
-            assert "storm_query_latency_seconds_count" in body
-            with urllib.request.urlopen(
-                    f"{endpoint.url}/health", timeout=5) as resp:
-                health = json.loads(resp.read())
-            assert health["status"] == "ok"
-            t = threading.active_count()
-            assert t >= 1  # endpoint thread is alive alongside us
-        finally:
-            endpoint.stop()
+        err = capsys.readouterr().err
+        assert "serving http://127.0.0.1:" in err
+        assert "drained cleanly" in err

@@ -21,6 +21,7 @@ import itertools
 import json
 import pathlib
 import random
+import socket
 import threading
 import time
 import urllib.error
@@ -549,8 +550,7 @@ def server():
         yield srv
 
 
-def _call(server, method, path, body=None, token="tok-a",
-          raw=False):
+def _call(server, method, path, body=None, token="tok-a"):
     req = urllib.request.Request(
         server.url + path, method=method,
         data=json.dumps(body).encode() if body is not None else None)
@@ -559,10 +559,7 @@ def _call(server, method, path, body=None, token="tok-a",
     if body is not None:
         req.add_header("Content-Type", "application/json")
     with urllib.request.urlopen(req, timeout=60) as resp:
-        payload = resp.read()
-        if raw:
-            return resp.status, payload, dict(resp.headers)
-        return resp.status, json.loads(payload)
+        return resp.status, json.loads(resp.read())
 
 
 def _call_error(server, method, path, body=None, token="tok-a"):
@@ -571,6 +568,22 @@ def _call_error(server, method, path, body=None, token="tok-a"):
     except urllib.error.HTTPError as err:
         return err.code, json.loads(err.read()), dict(err.headers)
     raise AssertionError("expected an HTTP error")
+
+
+def _raw_exchange(server, request: bytes) -> tuple[int, bytes]:
+    """Send raw request bytes and read the reply to EOF.
+
+    The server closes the connection only after its handler returns,
+    so by EOF the request has also been counted in the registry.
+    """
+    with socket.create_connection((server.host, server.port),
+                                  timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), payload
 
 
 class TestHTTP:
@@ -621,6 +634,17 @@ class TestHTTP:
                                    {"query": "SELECT nope"})
         assert code == 400
         assert doc["error"]["code"] == "bad_request"
+
+    def test_non_integer_content_length_is_400(self, server):
+        status, payload = _raw_exchange(server, (
+            b"POST /v1/query HTTP/1.1\r\n"
+            b"Host: localhost\r\n"
+            b"Authorization: Bearer tok-a\r\n"
+            b"Content-Length: abc\r\n"
+            b"Connection: close\r\n\r\n"
+            b'{"query": "ESTIMATE COUNT FROM pts"}'))
+        assert status == 400
+        assert json.loads(payload)["error"]["code"] == "bad_request"
 
     def test_unknown_dataset_is_404(self, server):
         code, doc, _ = _call_error(
@@ -699,17 +723,22 @@ class TestHTTP:
     def test_metrics_have_tenant_labels(self, server):
         _call(server, "POST", "/v1/query", {
             "query": AVG_Q, "seed": 3})
-        status, payload, headers = _call(
-            server, "GET", "/metrics", token=None, raw=True)
+        status, payload = _raw_exchange(
+            server, b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n"
+                    b"Connection: close\r\n\r\n")
         text = payload.decode()
         assert "storm_server_quanta_total" in text
         assert 'tenant="alice"' in text
         assert "storm_server_latency_seconds" in text
+        assert "storm_sample_latency_seconds_bucket" in text
         status, doc = _call(server, "GET", "/metrics.json",
                             token=None)
-        keys = list(doc["snapshot"]["counters"])
+        assert "window" in doc
+        counters = doc["snapshot"]["counters"]
         assert any(k.startswith("storm.server.requests")
-                   for k in keys)
+                   for k in counters)
+        assert counters["storm.server.requests{code=200,"
+                        "route=/metrics,tenant=}"] >= 1
 
     def test_streaming_quota_cap_applies(self, server):
         status, doc = _call(server, "POST", "/v1/query", {

@@ -464,7 +464,7 @@ def test_drain_suspends_detached_streams_keeps_frames():
     # After a few interleaved quanta the engine stalls for longer
     # than the drain budget, so both streams are deterministically
     # still in flight when shutdown gives up waiting.
-    plan = FaultPlan().delay("server.quantum", 5.0, nth=8)
+    plan = FaultPlan().delay("server.quantum", 1.0, nth=8)
     svc = QueryService(engine, ServerConfig(
         max_streams=2, quantum=16, drain_seconds=0.3), faults=plan)
     session = svc.create_session("t", "mine")["session"]

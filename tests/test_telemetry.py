@@ -1,17 +1,13 @@
 """Operational telemetry: quantile histograms, Prometheus text, the
-live endpoint, the sampling profiler and the regression gate."""
+sampling profiler and the regression gate."""
 
-import json
 import threading
-import urllib.error
-import urllib.request
 
 import pytest
 
-from repro.obs import (MetricsEndpoint, MetricsRegistry,
-                       SamplingProfiler, escape_label_value,
-                       metric_key, profiled, render_dashboard,
-                       render_prometheus)
+from repro.obs import (MetricsRegistry, SamplingProfiler,
+                       escape_label_value, metric_key, profiled,
+                       render_dashboard, render_prometheus)
 from repro.obs.metrics import (Histogram, bucket_index,
                                bucket_upper_bound)
 
@@ -263,80 +259,6 @@ class TestPrometheusRender:
     def test_deterministic(self):
         reg = self.make_registry()
         assert render_prometheus(reg) == render_prometheus(reg)
-
-
-def _get(url):
-    with urllib.request.urlopen(url, timeout=5) as resp:
-        return resp.status, resp.read().decode()
-
-
-class TestEndpoint:
-    def test_metrics_routes(self):
-        reg = MetricsRegistry()
-        reg.counter("storm.session.runs").inc(2)
-        reg.histogram("storm.sample.latency_seconds").observe(0.01)
-        with MetricsEndpoint(reg, port=0) as ep:
-            status, text = _get(f"{ep.url}/metrics")
-            assert status == 200
-            assert "storm_session_runs_total 2" in text
-            assert "storm_sample_latency_seconds_bucket" in text
-            status, body = _get(f"{ep.url}/metrics.json")
-            doc = json.loads(body)
-            assert doc["snapshot"]["counters"][
-                "storm.session.runs"] == 2
-            assert "window" in doc
-        # After stop the port is released; a new endpoint can start.
-        assert not ep.running
-
-    def test_health_ok_and_degraded(self):
-        reg = MetricsRegistry()
-        state = {"status": "ok"}
-        with MetricsEndpoint(reg, port=0,
-                             health=lambda: dict(state)) as ep:
-            status, body = _get(f"{ep.url}/health")
-            assert status == 200
-            assert json.loads(body)["status"] == "ok"
-            state["status"] = "degraded"
-            try:
-                status, body = _get(f"{ep.url}/health")
-            except urllib.error.HTTPError as err:
-                status, body = err.code, err.read().decode()
-            assert status == 503
-            assert json.loads(body)["status"] == "degraded"
-
-    def test_unknown_route_404(self):
-        reg = MetricsRegistry()
-        with MetricsEndpoint(reg, port=0) as ep:
-            try:
-                status, _ = _get(f"{ep.url}/nope")
-            except urllib.error.HTTPError as err:
-                status = err.code
-            assert status == 404
-
-    def test_http_requests_counted(self):
-        reg = MetricsRegistry()
-        with MetricsEndpoint(reg, port=0) as ep:
-            _get(f"{ep.url}/metrics")
-            _get(f"{ep.url}/metrics")
-            _get(f"{ep.url}/health")
-        snap = reg.snapshot()
-        assert snap["counters"][
-            'storm.http.requests{route=/metrics}'] == 2
-        assert snap["counters"][
-            'storm.http.requests{route=/health}'] == 1
-
-    def test_quantile_on_wire_matches_snapshot(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("storm.sample.latency_seconds")
-        for i in range(1, 101):
-            h.observe(i / 1000.0)
-        with MetricsEndpoint(reg, port=0) as ep:
-            _, text = _get(f"{ep.url}/metrics")
-        line = [ln for ln in text.splitlines()
-                if 'quantile="0.99"' in ln][0]
-        assert float(line.rsplit(" ", 1)[1]) == pytest.approx(
-            reg.snapshot()["histograms"][
-                "storm.sample.latency_seconds"]["p99"])
 
 
 def _busy(deadline_event, depth=0):
