@@ -269,12 +269,17 @@ class Dataset:
         """Resolve the sampler for a query: the one rule for local
         datasets.
 
-        An explicit ``method`` (``USING``) wins.  Otherwise, with an
-        LSM attached, the tiered sampler — the per-tree samplers only
-        cover the main tier, so letting the optimizer pick one would
-        silently miss memtable and run records.  Otherwise the
-        optimizer's cheapest method.
+        With an LSM attached, the tiered sampler, and ``USING`` is
+        refused: the per-tree samplers only cover the main tier, so
+        running one would silently miss memtable and run records and
+        mask none of the tombstones.  Otherwise an explicit ``method``
+        (``USING``) wins, else the optimizer's cheapest method.
         """
+        if self.lsm is not None and method is not None:
+            raise StormError(
+                f"USING {method} is not available on dataset "
+                f"{self.name!r}: tiered ingest is attached, so every "
+                f"query runs on the lsm-tiered path over all tiers")
         if method is not None:
             if method not in self.samplers:
                 raise StormError(

@@ -15,13 +15,13 @@ import bisect
 import math
 from typing import Callable
 
-from scipy import stats
-
 from repro.core.estimators.base import Estimate, OnlineEstimator, \
     RunningStats
 from repro.core.estimators.intervals import (ConfidenceInterval,
+                                             check_level,
                                              mean_interval,
-                                             proportion_interval)
+                                             proportion_interval,
+                                             quantile)
 from repro.core.records import AttributeAccessor, Record
 from repro.errors import EstimatorError
 
@@ -228,11 +228,12 @@ class VarianceEstimator(OnlineEstimator):
     def estimate(self, level: float = 0.95) -> Estimate:
         if self.k < 2:
             raise EstimatorError("variance needs at least two samples")
+        check_level(level)
         s2 = self.stats.variance
         df = self.k - 1
         alpha = 1.0 - level
-        lo = df * s2 / float(stats.chi2.ppf(1 - alpha / 2, df))
-        hi = df * s2 / float(stats.chi2.ppf(alpha / 2, df))
+        lo = df * s2 / quantile("chi2", 1 - alpha / 2, df)
+        hi = df * s2 / quantile("chi2", alpha / 2, df)
         value = s2
         if self.report_std:
             value = math.sqrt(s2)
@@ -269,11 +270,12 @@ class QuantileEstimator(OnlineEstimator):
         k = len(self.values)
         if k == 0:
             raise EstimatorError("no samples absorbed yet")
+        check_level(level)
         idx = min(k - 1, max(0, math.ceil(self.quantile * k) - 1))
         value = self.values[idx]
         # Binomial bracket: indices [l, u) covering the quantile w.p. level.
-        lo_idx = int(stats.binom.ppf((1 - level) / 2, k, self.quantile))
-        hi_idx = int(stats.binom.ppf((1 + level) / 2, k, self.quantile))
+        lo_idx = int(quantile("binom", (1 - level) / 2, k, self.quantile))
+        hi_idx = int(quantile("binom", (1 + level) / 2, k, self.quantile))
         lo_idx = max(0, min(lo_idx, k - 1))
         hi_idx = max(0, min(hi_idx, k - 1))
         interval = ConfidenceInterval(self.values[lo_idx],

@@ -12,11 +12,20 @@ Small samples use the Student-t quantile rather than the normal one.  For
 attributes with known bounds, :func:`hoeffding_interval` offers a
 conservative distribution-free alternative.
 
-Normal and Student-t quantiles come from ``scipy.stats``.
+Every distribution quantile an estimator needs — normal and Student-t
+critical values, the chi-square pivot of VAR/STD, the binomial order
+statistics of a quantile estimate, the KDE's per-cell t — comes from
+:func:`quantile`, the only ``scipy.stats`` caller in ``repro.core``.  It
+memoises on the distribution and its exact arguments (at most
+:data:`QUANTILE_CACHE_SIZE` entries).  Progressive streams report at the
+same sample counts, so a frame's (level, df) quantile costs a scipy call
+only the first time any stream reaches that k.  Callers validate the confidence level with :func:`check_level`
+before the lookup, so a bad level raises on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,11 +36,42 @@ from repro.errors import EstimatorError
 __all__ = [
     "ConfidenceInterval",
     "finite_population_correction",
+    "QUANTILE_CACHE_SIZE",
+    "check_level",
     "mean_interval",
     "hoeffding_interval",
     "proportion_interval",
+    "quantile",
     "required_sample_size",
 ]
+
+#: Bound on :func:`quantile`'s memo.  Keys grow with the distinct sample
+#: counts frames report at, not with the number of streams.
+QUANTILE_CACHE_SIZE = 4096
+
+_DISTRIBUTIONS = {
+    "norm": _stats.norm,
+    "t": _stats.t,
+    "chi2": _stats.chi2,
+    "binom": _stats.binom,
+}
+
+
+@functools.lru_cache(maxsize=QUANTILE_CACHE_SIZE)
+def quantile(dist: str, p: float, *params: float) -> float:
+    """``scipy.stats.<dist>.ppf(p, *params)`` as a float, memoised.
+
+    ``dist`` is one of ``norm``, ``t`` (params: df), ``chi2`` (df) or
+    ``binom`` (n, prob).  The value is exactly scipy's; only repeated
+    lookups of the same key are skipped.
+    """
+    return float(_DISTRIBUTIONS[dist].ppf(p, *params))
+
+
+def check_level(level: float) -> None:
+    """Raise :class:`EstimatorError` unless ``0 < level < 1``."""
+    if not 0.0 < level < 1.0:
+        raise EstimatorError(f"confidence level must be in (0,1): {level}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,12 +124,11 @@ def finite_population_correction(k: int, q: int | None) -> float:
 
 
 def _critical_value(level: float, k: int, use_t: bool) -> float:
-    if not 0.0 < level < 1.0:
-        raise EstimatorError(f"confidence level must be in (0,1): {level}")
+    check_level(level)
     tail = (1.0 + level) / 2.0
     if use_t and k >= 2:
-        return float(_stats.t.ppf(tail, df=k - 1))
-    return float(_stats.norm.ppf(tail))
+        return quantile("t", tail, k - 1)
+    return quantile("norm", tail)
 
 
 def mean_interval(mean: float, sample_variance: float, k: int,
@@ -107,6 +146,7 @@ def mean_interval(mean: float, sample_variance: float, k: int,
     if sample_variance < 0:
         raise EstimatorError("variance cannot be negative")
     if k == 1:
+        check_level(level)
         # No variance information at all: the honest answer is "unbounded".
         return ConfidenceInterval(-math.inf, math.inf, level)
     fpc = finite_population_correction(k, q)
@@ -123,8 +163,7 @@ def hoeffding_interval(mean: float, k: int, lo: float, hi: float,
         raise EstimatorError("need at least one sample for an interval")
     if hi < lo:
         raise EstimatorError("attribute bounds are inverted")
-    if not 0.0 < level < 1.0:
-        raise EstimatorError(f"confidence level must be in (0,1): {level}")
+    check_level(level)
     span = hi - lo
     eps = span * math.sqrt(math.log(2.0 / (1.0 - level)) / (2.0 * k))
     return ConfidenceInterval(mean - eps, mean + eps, level)

@@ -18,10 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
 
 from repro.core.estimators.base import Estimate, OnlineEstimator
-from repro.core.estimators.intervals import finite_population_correction
+from repro.core.estimators.intervals import (check_level,
+                                             finite_population_correction,
+                                             quantile)
 from repro.core.records import Record
 from repro.errors import EstimatorError
 
@@ -167,7 +168,8 @@ class OnlineKDE(OnlineEstimator):
         """(lo, hi) arrays of per-cell normal confidence bounds."""
         if self.k < 2:
             raise EstimatorError("need two samples for cell intervals")
-        z = float(_stats.t.ppf((1 + level) / 2, df=self.k - 1))
+        check_level(level)
+        z = quantile("t", (1 + level) / 2, self.k - 1)
         se = self._stderr().reshape(self.grid.ny, self.grid.nx)
         field = self._field()
         return field - z * se, field + z * se

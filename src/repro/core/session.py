@@ -49,6 +49,9 @@ class StopCondition:
     level: float = 0.95
 
     def __post_init__(self):
+        if not 0.0 < self.level < 1.0:
+            raise StormError(
+                f"confidence level must be in (0,1), got {self.level}")
         if (self.max_samples is None and self.max_seconds is None
                 and self.target_relative_error is None
                 and self.target_half_width is None):

@@ -11,6 +11,7 @@ from repro.core.estimators.aggregates import (AvgEstimator, CountEstimator,
                                               SumEstimator,
                                               VarianceEstimator)
 from repro.core.estimators.base import RunningStats
+from repro.core.estimators.kde import GridSpec, OnlineKDE
 from repro.core.records import Record, attribute_getter
 from repro.errors import EstimatorError
 
@@ -235,3 +236,32 @@ class TestQuantileEstimator:
         est = QuantileEstimator(attribute_getter("x"))
         with pytest.raises(EstimatorError):
             est.estimate()
+
+
+_LEVEL_CASES = {
+    "avg": (lambda: AvgEstimator(attribute_getter("x")), "estimate"),
+    "sum": (lambda: SumEstimator(attribute_getter("x")), "estimate"),
+    "count-pred": (lambda: CountEstimator(lambda r: r.attrs["x"] > 4),
+                   "estimate"),
+    "var": (lambda: VarianceEstimator(attribute_getter("x")), "estimate"),
+    "std": (lambda: VarianceEstimator(attribute_getter("x"), std=True),
+            "estimate"),
+    "quantile": (lambda: QuantileEstimator(attribute_getter("x")),
+                 "estimate"),
+    "kde": (lambda: OnlineKDE(GridSpec(-1, -1, 1, 1, nx=4, ny=4)),
+            "cell_intervals"),
+}
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5])
+@pytest.mark.parametrize("name", sorted(_LEVEL_CASES))
+def test_out_of_range_level_raises(name, level):
+    """A level outside (0, 1) is an EstimatorError on every estimator —
+    not a ZeroDivisionError, a NaN interval or a scipy ValueError."""
+    factory, method = _LEVEL_CASES[name]
+    est = factory()
+    est.set_population_size(100)
+    est.absorb_batch(make_records([float(v) for v in range(10)]))
+    getattr(est, method)(0.95)  # the same state is fine at a valid level
+    with pytest.raises(EstimatorError, match="confidence level"):
+        getattr(est, method)(level)

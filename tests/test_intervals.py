@@ -4,14 +4,23 @@ import math
 import random
 
 import pytest
+from scipy import stats
 
-from repro.core.estimators.intervals import (ConfidenceInterval,
+from repro.core.engine import Dataset
+from repro.core.estimators.aggregates import AvgEstimator
+from repro.core.estimators.intervals import (QUANTILE_CACHE_SIZE,
+                                             ConfidenceInterval,
                                              finite_population_correction,
                                              hoeffding_interval,
                                              mean_interval,
                                              proportion_interval,
+                                             quantile,
                                              required_sample_size)
+from repro.core.geometry import Rect
+from repro.core.records import attribute_getter
+from repro.core.session import StopCondition
 from repro.errors import EstimatorError
+from repro.workloads.osm import OSMWorkload
 
 
 class TestConfidenceInterval:
@@ -159,3 +168,55 @@ class TestRequiredSampleSize:
         s2 = sum((x - mean) ** 2 for x in sample) / (k - 1)
         ci = mean_interval(mean, s2, k)
         assert ci.half_width < target * 1.3
+
+
+class TestQuantileCache:
+    @pytest.mark.parametrize("df", [1, 2, 63, 10**4])
+    def test_t_matches_scipy(self, df):
+        for p in (0.75, 0.95, 0.975, 0.995):
+            expected = float(stats.t.ppf(p, df=df))
+            assert quantile("t", p, df) == expected  # computed
+            assert quantile("t", p, df) == expected  # memoised
+
+    def test_other_distributions_match_scipy(self):
+        for p in (0.005, 0.025, 0.5, 0.975, 0.995):
+            assert quantile("norm", p) == float(stats.norm.ppf(p))
+            assert quantile("chi2", p, 63) == float(stats.chi2.ppf(p, 63))
+            assert quantile("binom", p, 200, 0.3) == \
+                float(stats.binom.ppf(p, 200, 0.3))
+
+    def test_bounded(self):
+        assert quantile.cache_info().maxsize == QUANTILE_CACHE_SIZE > 0
+
+
+class TestProgressiveIntervalsUseTheCache:
+    RECT = Rect((-125, 25), (-65, 50))  # every synthetic OSM record
+
+    @classmethod
+    def _stream(cls, seed=7):
+        dataset = Dataset("osm", OSMWorkload(n=20000, seed=3).generate(),
+                          dims=2, build_ls=False, seed=3)
+        session = dataset.session(
+            cls.RECT, AvgEstimator(attribute_getter("altitude")),
+            rng=random.Random(seed))
+        points = [(p.k, p.estimate, p.done, p.reason, p.coverage)
+                  for p in session.run(
+                      StopCondition(target_relative_error=0.01))]
+        assert points and points[-1][2]
+        return points
+
+    def test_cold_and_warm_cache_give_identical_progress(self):
+        quantile.cache_clear()
+        cold = self._stream()
+        assert quantile.cache_info().misses > 0
+        warm = self._stream()
+        assert warm == cold
+
+    def test_warm_stream_never_calls_scipy(self, monkeypatch):
+        first = self._stream()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("scipy quantile called on a warm key")
+        monkeypatch.setattr(stats.t, "ppf", boom)
+        monkeypatch.setattr(stats.norm, "ppf", boom)
+        assert self._stream() == first

@@ -23,7 +23,7 @@ from repro.core.geometry import Rect
 from repro.core.records import Record
 from repro.core.sampling.base import take
 from repro.storage.lsm import LSMTree, Memtable, SealedRun
-from repro.errors import StorageError
+from repro.errors import StorageError, StormError
 
 
 def make_records(n, seed=5, start_id=0):
@@ -313,3 +313,46 @@ class TestTierMechanics:
             "ESTIMATE COUNT FROM tiers WHERE REGION(0, 0, 100, 100)")
         assert "lsm memtable records" in report
         assert "lsm sealed runs" in report
+
+
+class TestUsingUnderLSM:
+    """``USING`` would run a main-tier sampler that misses memtable and
+    run records, so the tiered path refuses it instead of returning a
+    wrong count labelled exact."""
+
+    METHODS = ("rs-tree", "ls-tree", "query-first", "random-path",
+               "sample-first")
+    QUERY = "ESTIMATE COUNT FROM {} WHERE REGION(-1, -1, 101, 101)"
+
+    @staticmethod
+    def _executor(dataset):
+        from repro.core.engine import StormEngine
+        from repro.query.executor import QueryExecutor
+        engine = StormEngine(seed=71)
+        engine.register(dataset)
+        return QueryExecutor(engine, rng=random.Random(71))
+
+    def test_tiered_count_is_live_count_and_using_raises(self):
+        dataset, lsm = tiered_dataset(seed=71)
+        shape = lsm.tier_shape()
+        assert shape["memtable_records"] > 0
+        assert shape["sealed_runs"] > 0
+        assert len(dataset.records) < 300 + 260  # tombstones applied
+        executor = self._executor(dataset)
+        query = self.QUERY.format("tiers")
+        result = executor.execute(query)
+        assert result.value == len(dataset.records)
+        assert result.final.estimate.exact
+        for method in self.METHODS:
+            with pytest.raises(StormError, match="lsm-tiered"):
+                executor.execute(f"{query} USING {method}")
+
+    def test_every_method_counts_all_records_without_lsm(self):
+        records = make_records(300, seed=72)
+        dataset = Dataset("plain", records, dims=2, rs_buffer_size=16,
+                          seed=72)
+        executor = self._executor(dataset)
+        query = self.QUERY.format("plain")
+        for method in self.METHODS:
+            result = executor.execute(f"{query} USING {method}")
+            assert result.value == len(records), method

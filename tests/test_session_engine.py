@@ -98,6 +98,14 @@ class TestStopConditions:
         with pytest.raises(StormError):
             StopCondition(max_samples=0)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5])
+    def test_bad_level_rejected(self, level):
+        """Checked even in user-stop mode: the session swallows the
+        estimator's level error, so a bad level would never report."""
+        for kwargs in ({}, {"target_relative_error": 0.01}):
+            with pytest.raises(StormError, match="confidence level"):
+                StopCondition(level=level, **kwargs)
+
     def test_estimates_improve_over_time(self):
         est = AvgEstimator(attribute_getter("altitude"))
         session = DATASET.session(QUERY, est, method="rs-tree",
