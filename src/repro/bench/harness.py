@@ -26,7 +26,7 @@ from repro.core.records import STRange, attribute_getter
 from repro.core.sampling.base import take
 from repro.core.session import OnlineQuerySession, StopCondition
 from repro.index.cost import CostCounter, CostModel, DEFAULT_COST_MODEL
-from repro.obs import NULL_OBS, Observability
+from repro.obs import Observability
 from repro.viz.series import render_series, render_table
 from repro.workloads.osm import OSMWorkload
 
@@ -100,8 +100,7 @@ class Fig3aRunner:
         self.seed = seed
         # Defaults to the dataset's sink so one engine-level
         # Observability also captures benchmark runs.
-        self.obs = obs if obs is not None \
-            else getattr(dataset, "obs", NULL_OBS)
+        self.obs = obs if obs is not None else dataset.obs
         self.query = fig3a_query(workload).to_rect(dataset.dims)
         self.q = dataset.tree.range_count(self.query)
 
@@ -255,8 +254,7 @@ class Fig3bRunner:
         self.methods = methods
         self.max_samples = max_samples
         self.seed = seed
-        self.obs = obs if obs is not None \
-            else getattr(dataset, "obs", NULL_OBS)
+        self.obs = obs if obs is not None else dataset.obs
         self.query = fig3a_query(workload)
 
     def _truth(self) -> float:

@@ -53,9 +53,9 @@ BASELINE_SAMPLES_PER_SEC = {
 }
 
 
-def _block_cache_stats(dataset) -> dict:
+def _block_encoding_stats(dataset) -> dict:
     """Bytes-per-point of the columnar block encoding vs JSON documents
-    (the block cache holds this many times more points per byte)."""
+    (reported under the ``block_cache`` key of the smoke report)."""
     records = list(dataset.records.values())
     if not records:
         return {}
@@ -165,7 +165,7 @@ def run_smoke(n: int = N, k: int = K, repeats: int = REPEATS,
         "workload": {"n": n, "k": k, "repeats": repeats,
                      "passes": PASSES, "seed": seed,
                      "pattern": "repeated-query"},
-        "block_cache": _block_cache_stats(dataset),
+        "block_cache": _block_encoding_stats(dataset),
         "samplers": results,
     }
 

@@ -40,6 +40,9 @@ __all__ = ["Dataset", "SamplerPlan", "StormEngine"]
 
 _GEO_FALLBACK_BOUNDS_2D = Rect((-180.0, -90.0), (180.0, 90.0))
 
+#: Bits per dimension of the main tree's Hilbert grid.
+HILBERT_BITS = 16
+
 
 class SamplerPlan(NamedTuple):
     """One query's resolved sampling method."""
@@ -74,10 +77,9 @@ class Dataset:
 
     def __init__(self, name: str, records: Iterable[Record],
                  dims: int = 3, leaf_capacity: int = 64,
-                 branch_capacity: int = 16, hilbert_bits: int = 16,
-                 rs_buffer_size: int = 64, build_ls: bool = True,
-                 bounds: Rect | None = None, seed: int = 0,
-                 obs: Observability | None = None):
+                 branch_capacity: int = 16, rs_buffer_size: int = 64,
+                 build_ls: bool = True, bounds: Rect | None = None,
+                 seed: int = 0, obs: Observability | None = None):
         if dims not in (2, 3):
             raise StormError("datasets are 2-d (spatial) or 3-d (ST)")
         self.name = name
@@ -94,7 +96,7 @@ class Dataset:
         self.bounds = bounds if bounds is not None \
             else _padded_bounds(ordered, dims)
         self._build_rng = random.Random(seed)
-        self.tree = HilbertRTree(dims, self.bounds, bits=hilbert_bits,
+        self.tree = HilbertRTree(dims, self.bounds, bits=HILBERT_BITS,
                                  leaf_capacity=leaf_capacity,
                                  branch_capacity=branch_capacity)
         self.tree.bulk_load(
@@ -209,10 +211,10 @@ class Dataset:
         """Rebuild every index from the current records.
 
         Dynamic inserts degrade packing over time (bulk-loaded trees are
-        near-optimal, insertion-built ones are not); the update manager
-        triggers this once churn passes its threshold.  Sample buffers
-        and LS levels are re-drawn, so post-rebuild samples are as fresh
-        as after an initial load.
+        near-optimal, insertion-built ones are not); nothing calls this
+        automatically — on the ingest path the LSM compaction is the
+        rebuild.  Sample buffers and LS levels are re-drawn, so
+        post-rebuild samples are as fresh as after an initial load.
         """
         if self.lsm is not None:
             # A compaction *is* the LSM's rebuild: it folds every run

@@ -17,7 +17,6 @@ Provides the R-tree family every sampler is built on:
 from repro.index.cost import CostCounter, CostModel
 from repro.index.hilbert import HilbertEncoder, hilbert_index, hilbert_point
 from repro.index.hilbert_rtree import HilbertRTree
-from repro.index.rstar import RStarTree
 from repro.index.rtree import Entry, Node, RTree
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "HilbertEncoder",
     "HilbertRTree",
     "Node",
-    "RStarTree",
     "RTree",
     "hilbert_index",
     "hilbert_point",

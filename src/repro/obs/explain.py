@@ -43,9 +43,8 @@ def render_explain(plan_text: str, root: Span | None, final,
     was forced), ``root`` the query's root span (None when tracing was
     off), ``final`` the session's last
     :class:`~repro.core.session.ProgressPoint`.  ``caches`` maps a
-    cache name (e.g. ``"canonical-set"``, ``"dfs-block"``) to its
-    (hits, misses) delta for this query; caches with zero lookups are
-    skipped.  ``faults`` maps a fault/recovery event name (e.g.
+    cache name (e.g. ``"canonical-set"``) to its (hits, misses) delta
+    for this query; caches with zero lookups are skipped.  ``faults`` maps a fault/recovery event name (e.g.
     ``"retries"``, ``"stream failovers"``, ``"degraded workers"``) to
     its count for this query; an all-zero dict is skipped entirely so
     fault-free EXPLAIN output is unchanged.  ``durability`` maps a

@@ -222,20 +222,12 @@ class QueryExecutor:
             fault_before = {
                 label: registry.counter(name).value
                 for label, name in self._FAULT_COUNTERS.items()}
-            dfs_before = (
-                registry.counter("storm.dfs.cache.hits").value,
-                registry.counter("storm.dfs.cache.misses").value)
         dataset = self.engine.dataset(spec.dataset)
         with dataset.explain_counters() as counters:
             session, final = self._run(spec, local)
         caches = counters["caches"]
         faults = {}
         if registry.enabled:
-            caches["dfs-block"] = (
-                registry.counter("storm.dfs.cache.hits").value
-                - dfs_before[0],
-                registry.counter("storm.dfs.cache.misses").value
-                - dfs_before[1])
             faults = {
                 label: registry.counter(name).value - before
                 for (label, name), before

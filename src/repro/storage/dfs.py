@@ -9,13 +9,8 @@ The DFS is in-memory by default; give it a root directory to also persist
 file contents to real disk (the document store uses this for durability
 tests).
 
-An optional LRU *block cache* (``cache_blocks > 0``) serves repeated
-block reads without charging the owning machine: hits skip the
-per-machine ``BlockStats`` charges entirely and are tallied separately
-in :class:`CacheStats` (plus ``storm.dfs.cache.*`` registry counters
-when observability is live).  Writes and deletes invalidate a file's
-cached blocks, so the cache can never serve stale bytes.  The cache is
-off by default — existing experiments account raw device I/O.
+Every block read charges the replica that serves it, so the
+experiments account raw device I/O.
 
 With a :class:`~repro.faults.FaultPlan` attached, block reads are
 *fault-gated*: a read tries the primary replica first and fails over
@@ -42,14 +37,14 @@ from __future__ import annotations
 
 import math
 import os
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from urllib.parse import quote, unquote
 
 from repro.errors import BlockReadError, StorageError, WriteCrashError
 from repro.faults import FaultPlan
 from repro.obs import NULL_OBS, Observability
 
-__all__ = ["BlockStats", "CacheStats", "FailoverStats", "SimulatedDFS"]
+__all__ = ["BlockStats", "FailoverStats", "SimulatedDFS"]
 
 
 @dataclass
@@ -96,32 +91,6 @@ class BlockStats:
 
 
 @dataclass
-class CacheStats:
-    """Block-cache tallies (hits never reach a machine's BlockStats)."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 before any lookup)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def as_dict(self) -> dict[str, float]:
-        """The tallies as a plain dict (for exporters)."""
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions,
-                "hit_rate": self.hit_rate}
-
-
-@dataclass
 class FailoverStats:
     """Replica-failover tallies for fault-gated block reads."""
 
@@ -156,7 +125,6 @@ class SimulatedDFS:
     def __init__(self, machines: int = 4, block_size: int = 8192,
                  replication: int = 3, root: str | None = None,
                  obs: "Observability | None" = None,
-                 cache_blocks: int = 0,
                  faults: "FaultPlan | None" = None):
         if machines < 1:
             raise StorageError("need at least one machine")
@@ -165,8 +133,6 @@ class SimulatedDFS:
         if not 1 <= replication <= machines:
             raise StorageError(
                 "replication must be between 1 and the machine count")
-        if cache_blocks < 0:
-            raise StorageError("cache_blocks cannot be negative")
         self.machines = machines
         self.block_size = block_size
         self.replication = replication
@@ -175,10 +141,6 @@ class SimulatedDFS:
         self.faults = faults
         self.stats = [BlockStats() for _ in range(machines)]
         self.failover = FailoverStats()
-        self.cache_blocks = cache_blocks
-        self.cache_stats = CacheStats()
-        # LRU over (file name, block index) -> block bytes.
-        self._cache: OrderedDict[tuple[str, int], bytes] = OrderedDict()
         self._files: dict[str, _FileMeta] = {}
         self._next_machine = 0
         self._stride = self._placement_stride(machines, replication)
@@ -219,9 +181,11 @@ class SimulatedDFS:
         return replicas
 
     def _disk_path(self, name: str) -> str:
+        """The file under ``root`` that holds ``name``: percent-encoded
+        (``/`` included), so :meth:`_load_from_root` decodes it back to
+        exactly the same name."""
         assert self.root is not None
-        safe = name.replace("/", "__")
-        return os.path.join(self.root, safe)
+        return os.path.join(self.root, quote(name, safe=""))
 
     def _load_from_root(self) -> None:
         assert self.root is not None
@@ -231,7 +195,7 @@ class SimulatedDFS:
                 continue
             with open(path, "rb") as f:
                 data = f.read()
-            name = fname.replace("__", "/")
+            name = unquote(fname)
             meta = _FileMeta(data=data)
             for _ in range(self._block_count(len(data))):
                 meta.placement.append(self._place_block())
@@ -239,50 +203,6 @@ class SimulatedDFS:
 
     def _block_count(self, size: int) -> int:
         return max(1, -(-size // self.block_size))
-
-    # -- block cache -------------------------------------------------------
-
-    def _cache_get(self, name: str, block: int) -> bytes | None:
-        """Cached block bytes, or None on a miss (tallies either way)."""
-        if self.cache_blocks == 0:
-            return None
-        data = self._cache.get((name, block))
-        registry = self.obs.registry
-        if data is not None:
-            self._cache.move_to_end((name, block))
-            self.cache_stats.hits += 1
-            if registry.enabled:
-                registry.counter("storm.dfs.cache.hits").inc()
-            return data
-        self.cache_stats.misses += 1
-        if registry.enabled:
-            registry.counter("storm.dfs.cache.misses").inc()
-        return None
-
-    def _cache_put(self, name: str, block: int, data: bytes) -> None:
-        """Admit a block, evicting least-recently-used past capacity."""
-        if self.cache_blocks == 0:
-            return
-        self._cache[(name, block)] = data
-        self._cache.move_to_end((name, block))
-        evicted = 0
-        while len(self._cache) > self.cache_blocks:
-            self._cache.popitem(last=False)
-            evicted += 1
-        if evicted:
-            self.cache_stats.evictions += evicted
-            registry = self.obs.registry
-            if registry.enabled:
-                registry.counter("storm.dfs.cache.evictions").inc(
-                    evicted)
-
-    def _cache_invalidate(self, name: str) -> None:
-        """Drop every cached block of a file (writes and deletes)."""
-        if not self._cache:
-            return
-        stale = [key for key in self._cache if key[0] == name]
-        for key in stale:
-            del self._cache[key]
 
     # -- fault gating ------------------------------------------------------
 
@@ -387,7 +307,6 @@ class SimulatedDFS:
                 written_blocks)
             registry.counter("storm.dfs.bytes_written").inc(
                 written_bytes)
-        self._cache_invalidate(name)
         self._files[name] = meta
         if self.root is not None:
             with open(self._disk_path(name), "wb") as f:
@@ -417,8 +336,6 @@ class SimulatedDFS:
         if not new:
             raise StorageError("file name cannot be empty")
         meta = self._get(old)
-        self._cache_invalidate(old)
-        self._cache_invalidate(new)
         del self._files[old]
         self._files[new] = meta
         registry = self.obs.registry
@@ -428,39 +345,30 @@ class SimulatedDFS:
             os.replace(self._disk_path(old), self._disk_path(new))
 
     def read_file(self, name: str) -> bytes:
-        """Read a whole file (charges one replica per uncached block —
-        the primary, or a failover replica under an active fault
-        plan)."""
+        """Read a whole file (charges one replica per block — the
+        primary, or a failover replica under an active fault plan)."""
         meta = self._get(name)
-        device_blocks = device_bytes = 0
         for i, replicas in enumerate(meta.placement):
             chunk = meta.data[i * self.block_size:(i + 1)
                               * self.block_size]
-            if self._cache_get(name, i) is not None:
-                continue
             m = self._serve_block(name, i, replicas, len(chunk))
             self.stats[m].blocks_read += 1
             self.stats[m].bytes_read += len(chunk)
-            device_blocks += 1
-            device_bytes += len(chunk)
-            self._cache_put(name, i, chunk)
         registry = self.obs.registry
-        if registry.enabled and device_blocks:
-            registry.counter("storm.dfs.blocks_read").inc(device_blocks)
-            registry.counter("storm.dfs.bytes_read").inc(device_bytes)
+        if registry.enabled:
+            registry.counter("storm.dfs.blocks_read").inc(
+                len(meta.placement))
+            registry.counter("storm.dfs.bytes_read").inc(len(meta.data))
         return meta.data
 
     def read_block(self, name: str, block: int) -> bytes:
-        """Read one block of a file (charges its primary replica on a
-        cache miss — failing over down the replica list when a fault
-        plan takes machines out; hits never touch a machine)."""
+        """Read one block of a file (charges its primary replica —
+        failing over down the replica list when a fault plan takes
+        machines out)."""
         meta = self._get(name)
         if not 0 <= block < len(meta.placement):
             raise StorageError(
                 f"block {block} out of range for {name!r}")
-        cached = self._cache_get(name, block)
-        if cached is not None:
-            return cached
         data = meta.data[block * self.block_size:(block + 1)
                          * self.block_size]
         m = self._serve_block(name, block, meta.placement[block],
@@ -471,13 +379,11 @@ class SimulatedDFS:
         if registry.enabled:
             registry.counter("storm.dfs.blocks_read").inc()
             registry.counter("storm.dfs.bytes_read").inc(len(data))
-        self._cache_put(name, block, data)
         return data
 
     def delete_file(self, name: str) -> None:
         """Remove a file (error when absent)."""
         self._get(name)
-        self._cache_invalidate(name)
         del self._files[name]
         if self.root is not None:
             path = self._disk_path(name)

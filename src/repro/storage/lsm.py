@@ -76,6 +76,9 @@ LSM_PREFIX = "lsm/"
 #: Tombstone victim tag for the main tree (runs use their integer id).
 MAIN_TIER = "main"
 
+#: RS-buffer size of each sealed run's mini-tree sampler.
+RUN_BUFFER_SIZE = 32
+
 
 class Memtable:
     """In-memory ingest buffer: a plain insertion-order dict.
@@ -229,8 +232,7 @@ class LSMTree:
                  wal: "WriteAheadLog | None" = None,
                  prefix: str = LSM_PREFIX,
                  memtable_limit: int = 1024,
-                 compact_after_runs: int = 4,
-                 run_buffer_size: int = 32):
+                 compact_after_runs: int = 4):
         if memtable_limit < 1:
             raise StorageError("memtable_limit must be >= 1")
         if compact_after_runs < 1:
@@ -243,7 +245,6 @@ class LSMTree:
         self.prefix = prefix
         self.memtable_limit = memtable_limit
         self.compact_after_runs = compact_after_runs
-        self.run_buffer_size = run_buffer_size
         self.obs = dataset.obs
         self.memtable = Memtable(dataset.dims)
         self.runs: list[SealedRun] = []
@@ -489,7 +490,7 @@ class LSMTree:
         tree = self.dataset.tree
         return SealedRun(run_id, records, tree.encoder.bounds,
                          self.dataset.dims, bits=tree.encoder.bits,
-                         rs_buffer_size=self.run_buffer_size,
+                         rs_buffer_size=RUN_BUFFER_SIZE,
                          rng=_random.Random(
                              self.dataset._build_rng.getrandbits(32)),
                          file=file)

@@ -24,7 +24,7 @@ from typing import Iterable
 from repro.core.engine import Dataset
 from repro.core.records import Record
 from repro.errors import UpdateError
-from repro.obs import NULL_OBS, Observability
+from repro.obs import Observability
 from repro.storage.document_store import DocumentStore
 from repro.storage.recovery import checkpoint_store
 from repro.storage.wal import WriteAheadLog
@@ -94,17 +94,12 @@ class UpdateManager:
     def __init__(self, dataset: Dataset,
                  store: DocumentStore | None = None,
                  collection: str | None = None,
-                 rebuild_churn_fraction: float | None = None,
                  obs: Observability | None = None,
                  wal: "WriteAheadLog | None" = None,
                  checkpoint_every: int | None = None):
         if (store is None) != (collection is None):
             raise UpdateError(
                 "provide both store and collection, or neither")
-        if rebuild_churn_fraction is not None \
-                and rebuild_churn_fraction <= 0:
-            raise UpdateError(
-                "rebuild_churn_fraction must be positive")
         if wal is not None and store is None:
             raise UpdateError(
                 "a WAL needs a store/collection to recover into")
@@ -124,14 +119,7 @@ class UpdateManager:
         self.last_lsn = 0
         # Falls back to the dataset's sink so one engine-level
         # Observability captures update traffic too.
-        self.obs = obs if obs is not None \
-            else getattr(dataset, "obs", NULL_OBS)
-        # Auto-rebuild policy: once applied churn (inserts + deletes)
-        # exceeds this fraction of the dataset size, bulk-rebuild the
-        # indexes to restore packing quality.  None disables it.
-        self.rebuild_churn_fraction = rebuild_churn_fraction
-        self._churn_since_rebuild = 0
-        self.rebuilds = 0
+        self.obs = obs if obs is not None else dataset.obs
         self.applied_batches = 0
         self.total_inserted = 0
         self.total_deleted = 0
@@ -149,7 +137,7 @@ class UpdateManager:
         so a delete+reinsert of one id is a replace.
         """
         batch.validate(self.dataset)
-        name = getattr(self.dataset, "name", "?")
+        name = self.dataset.name
         if len(batch) == 0:
             # A no-op batch must be a true no-op: no WAL record, no
             # checkpoint-cadence tick, and — critically — no index
@@ -177,22 +165,20 @@ class UpdateManager:
             self.applied_batches += 1
             self.total_inserted += len(batch.inserts)
             self.total_deleted += len(batch.deletes)
-            self._churn_since_rebuild += len(batch)
-            lsm = getattr(self.dataset, "lsm", None)
+            lsm = self.dataset.lsm
             if lsm is not None:
                 # The whole batch is now applied: any seal triggered by
                 # a *later* batch may safely stamp this LSN as its
                 # replay origin (a mid-batch seal keeps the previous
                 # batch's LSN, so replay never splits a batch).
                 lsm.applied_lsn = max(lsm.applied_lsn, self.last_lsn)
-            if self._maybe_rebuild():
-                self.rebuilds += 1
-            elif lsm is not None and lsm.should_compact():
-                # Checkpoint first so the store durably covers every
-                # run record, then fold runs into the main tree and
-                # prune the WAL segments the checkpoint released.
-                self.flush()
-                lsm.compact()
+                if lsm.should_compact():
+                    # Checkpoint first so the store durably covers
+                    # every run record, then fold runs into the main
+                    # tree and prune the WAL segments the checkpoint
+                    # released.
+                    self.flush()
+                    lsm.compact()
         self._batches_since_checkpoint += 1
         if self.checkpoint_every is not None \
                 and self._batches_since_checkpoint \
@@ -211,17 +197,6 @@ class UpdateManager:
                                dataset=name).observe(elapsed)
         return UpdateResult(inserted=len(batch.inserts),
                             deleted=len(batch.deletes), seconds=elapsed)
-
-    def _maybe_rebuild(self) -> bool:
-        if self.rebuild_churn_fraction is None:
-            return False
-        threshold = max(1.0, self.rebuild_churn_fraction
-                        * max(1, len(self.dataset.records)))
-        if self._churn_since_rebuild < threshold:
-            return False
-        self.dataset.rebuild()
-        self._churn_since_rebuild = 0
-        return True
 
     # -- conveniences -----------------------------------------------------
 
@@ -259,7 +234,7 @@ class UpdateManager:
             return
         if self.wal is not None:
             checkpoint_store(self.store, self.wal, obs=self.obs,
-                             lsm=getattr(self.dataset, "lsm", None))
+                             lsm=self.dataset.lsm)
         else:
             self.store.flush(self.collection)
         self._batches_since_checkpoint = 0

@@ -1,24 +1,18 @@
-"""Regression tests for the sampling fast-path caches.
+"""Regression tests for the sampling fast-path cache.
 
-Two caches were added for repeated-query workloads:
-
-* the R-tree's **canonical-set cache** (LRU per query rect, keyed to a
-  structural ``version`` that every insert / delete / bulk load bumps);
-* the simulated DFS's **block cache** (opt-in LRU over
-  ``(file, block)``; hits never charge the owning machine).
-
-Both must be *exactly* invisible semantically: a cached answer equals a
+The R-tree's **canonical-set cache** (LRU per query rect, keyed to a
+structural ``version`` that every insert / delete / bulk load bumps)
+must be *exactly* invisible semantically: a cached answer equals a
 recomputed one, and any mutation invalidates before the next read.
+The simulated DFS has no block cache: a repeated read charges a
+replica again.
 """
 
 import random
 
-import pytest
-
 from repro.core.engine import Dataset
 from repro.core.geometry import Rect
 from repro.core.records import Record
-from repro.errors import StorageError
 from repro.index.cost import CostCounter
 from repro.index.rtree import RTree
 from repro.obs import MetricsRegistry, Observability, Tracer
@@ -172,74 +166,6 @@ class TestDFSBlockCache:
         reads = dfs.total_blocks_read()
         dfs.read_file("f")
         assert dfs.total_blocks_read() == 2 * reads
-        assert dfs.cache_stats.hits == 0
-
-    def test_hits_skip_machine_charges(self):
-        dfs = SimulatedDFS(machines=2, replication=1, cache_blocks=8)
-        dfs.write_file("f", b"x" * 20_000)  # 3 blocks
-        data = dfs.read_file("f")
-        reads = dfs.total_blocks_read()
-        assert reads == 3
-        assert dfs.read_file("f") == data
-        assert dfs.total_blocks_read() == reads  # all hits, no device
-        assert dfs.cache_stats.hits == 3
-        assert dfs.cache_stats.misses == 3
-        assert dfs.cache_stats.hit_rate == 0.5
-
-    def test_read_block_hit(self):
-        dfs = SimulatedDFS(machines=2, replication=1, cache_blocks=4)
-        dfs.write_file("f", b"ab" * 10_000)
-        first = dfs.read_block("f", 1)
-        reads = dfs.total_blocks_read()
-        assert dfs.read_block("f", 1) == first
-        assert dfs.total_blocks_read() == reads
-
-    def test_write_invalidates(self):
-        dfs = SimulatedDFS(machines=2, replication=1, cache_blocks=8)
-        dfs.write_file("f", b"old" * 4000)
-        dfs.read_file("f")
-        dfs.write_file("f", b"new" * 4000)
-        assert dfs.read_file("f") == b"new" * 4000
-        # The post-write read must be misses, not stale hits.
-        assert dfs.cache_stats.hits == 0
-
-    def test_delete_invalidates(self):
-        dfs = SimulatedDFS(machines=2, replication=1, cache_blocks=8)
-        dfs.write_file("f", b"z" * 100)
-        dfs.read_file("f")
-        dfs.delete_file("f")
-        dfs.write_file("f", b"y" * 100)
-        assert dfs.read_file("f") == b"y" * 100
-        assert dfs.cache_stats.hits == 0
-
-    def test_lru_eviction_counted(self):
-        dfs = SimulatedDFS(machines=2, replication=1, block_size=100,
-                           cache_blocks=2)
-        dfs.write_file("f", b"q" * 400)  # 4 blocks, capacity 2
-        dfs.read_file("f")
-        assert dfs.cache_stats.evictions == 2
-        # Blocks 2 and 3 survive; 0 and 1 were evicted.
-        dfs.read_block("f", 3)
-        assert dfs.cache_stats.hits == 1
-        dfs.read_block("f", 0)
-        assert dfs.cache_stats.misses == 5
-
-    def test_registry_counters(self):
-        obs = Observability(registry=MetricsRegistry(), tracer=Tracer())
-        dfs = SimulatedDFS(machines=2, replication=1, cache_blocks=4,
-                           obs=obs)
-        dfs.write_file("f", b"k" * 100)
-        dfs.read_file("f")
-        dfs.read_file("f")
-        reg = obs.registry
-        assert reg.counter("storm.dfs.cache.misses").value == 1
-        assert reg.counter("storm.dfs.cache.hits").value == 1
-        # Device reads counted only for the miss.
-        assert reg.counter("storm.dfs.blocks_read").value == 1
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(StorageError):
-            SimulatedDFS(cache_blocks=-1)
 
 
 class TestExplainReportsCaches:

@@ -198,17 +198,6 @@ class TestDFSFailover:
         assert reg.counter("storm.dfs.failover.attempts").value == 1
         assert reg.counter("storm.dfs.failover.reads").value == 1
 
-    def test_cached_blocks_never_touch_a_dead_machine(self):
-        dfs = SimulatedDFS(machines=4, replication=1, block_size=64,
-                           cache_blocks=8)
-        dfs.write_file("f", bytes(64))
-        dfs.read_block("f", 0)  # warm the cache
-        plan = FaultPlan()
-        for m in range(4):
-            plan.crash(f"machine:{m}", at=0)
-        dfs.set_fault_plan(plan)
-        assert dfs.read_block("f", 0) == bytes(64)  # cache hit
-
     def test_reset_stats_clears_failover_tallies(self):
         dfs = self.make_dfs()
         dfs.set_fault_plan(

@@ -81,18 +81,6 @@ class TestRTreeProperties:
         assert got == want
 
     @given(op_sequence(), query_box())
-    @settings(max_examples=25, deadline=None)
-    def test_rstar_dynamic_ops(self, ops, box):
-        from repro.index.rstar import RStarTree
-        tree = RStarTree(2, leaf_capacity=4, branch_capacity=4)
-        live = apply_ops(tree, ops)
-        tree.validate()
-        got = {e.item_id for e in tree.range_query(box)}
-        want = {pid for pid, p in live.items()
-                if box.contains_point(p)}
-        assert got == want
-
-    @given(op_sequence(), query_box())
     @settings(max_examples=30, deadline=None)
     def test_hilbert_dynamic_ops(self, ops, box):
         tree = HilbertRTree(2, BOUNDS, leaf_capacity=4,

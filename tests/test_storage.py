@@ -68,6 +68,30 @@ class TestDFS:
         reloaded = SimulatedDFS(root=root)
         assert reloaded.read_file("store/coll.jsonl") == b'{"a": 1}\n'
 
+    def test_persisted_names_reload_unchanged(self, tmp_path):
+        root = str(tmp_path / "dfs")
+        dfs = SimulatedDFS(root=root)
+        names = ["store/ds__x.jsonl", "store/ds_a__b.jsonl", "_lead",
+                 "__", "a/b/c", "pct%2Fname", "wal/seg__0001.log"]
+        for i, name in enumerate(names):
+            dfs.write_file(name, str(i).encode())
+        reloaded = SimulatedDFS(root=root)
+        assert reloaded.list_files() == sorted(names)
+        for i, name in enumerate(names):
+            assert reloaded.read_file(name) == str(i).encode()
+
+    def test_engine_with_underscore_dataset_reloads(self, tmp_path):
+        from repro.core.engine import StormEngine
+        from repro.storage.persistence import load_engine, save_engine
+        root = str(tmp_path / "dfs")
+        engine = StormEngine(seed=1)
+        records = [Record(i, lon=float(i), lat=float(i) / 2)
+                   for i in range(40)]
+        engine.create_dataset("_x", records, dims=2)
+        save_engine(engine, DocumentStore(SimulatedDFS(root=root)))
+        again = load_engine(DocumentStore(SimulatedDFS(root=root)))
+        assert set(again.dataset("_x").records) == set(range(40))
+
     def test_balance(self):
         dfs = SimulatedDFS(machines=4, replication=1)
         for i in range(16):

@@ -126,11 +126,11 @@ class TestApply:
         with pytest.raises(UpdateError):
             UpdateManager(dataset, store=DocumentStore())
 
-    def test_auto_rebuild_triggers_and_stays_correct(self, dataset):
-        manager = UpdateManager(dataset, rebuild_churn_fraction=0.2)
+    def test_rebuild_after_inserts_stays_correct(self, dataset):
+        manager = UpdateManager(dataset)
         inserts = make_records(200, seed=68, start_id=50_000)
         manager.apply(UpdateBatch(inserts=inserts))
-        assert manager.rebuilds == 1
+        dataset.rebuild()
         dataset.tree.validate()
         rng = random.Random(69)
         got = {e.item_id for e in
@@ -149,10 +149,6 @@ class TestApply:
         rebuilt = dataset.tree.node_count()
         assert rebuilt <= degraded
         dataset.tree.validate()
-
-    def test_rebuild_fraction_validated(self, dataset):
-        with pytest.raises(UpdateError):
-            UpdateManager(dataset, rebuild_churn_fraction=0.0)
 
     def test_recent_window_query_sees_new_data(self, dataset):
         """The demo: narrow the time range to the most recent history
