@@ -1,12 +1,12 @@
 PYTHON ?= python
 
-# Optional: make bench-smoke PROFILE=smoke.collapsed writes collapsed
-# stacks (flamegraph format) for the run alongside the JSON.
+# Optional: make smoke-sampling PROFILE=smoke.collapsed writes
+# collapsed stacks (flamegraph format) for the run alongside the JSON.
 PROFILE ?=
 
-.PHONY: test lint bench bench-smoke chaos-smoke recovery-smoke \
-	updates-smoke serve-smoke serve-chaos-smoke check-bench \
-	check-links
+SMOKES = sampling chaos recovery updates server server_chaos
+
+.PHONY: test lint bench check-bench check-links
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -17,35 +17,15 @@ lint:
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q
 
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.bench.smoke BENCH_sampling.json \
+# make smoke-NAME runs one repro.bench smoke (NAME in $(SMOKES)),
+# writes BENCH_NAME.json and gates it against the committed copy.
+smoke-%:
+	PYTHONPATH=src $(PYTHON) -m repro.bench $* BENCH_$*.json \
 		$(if $(PROFILE),--profile $(PROFILE))
-	$(PYTHON) tools/check_bench.py BENCH_sampling.json
-
-chaos-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.bench.chaos BENCH_chaos.json
-
-recovery-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.bench.recovery BENCH_recovery.json
-	$(PYTHON) tools/check_bench.py BENCH_recovery.json
-
-updates-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.bench.updates BENCH_updates.json
-	$(PYTHON) tools/check_bench.py BENCH_updates.json
-
-serve-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.bench.server BENCH_server.json
-	$(PYTHON) tools/check_bench.py BENCH_server.json
-
-serve-chaos-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.bench.server_chaos \
-		BENCH_server_chaos.json
-	$(PYTHON) tools/check_bench.py BENCH_server_chaos.json
+	$(PYTHON) tools/check_bench.py BENCH_$*.json
 
 check-bench:
-	$(PYTHON) tools/check_bench.py BENCH_sampling.json \
-		BENCH_recovery.json BENCH_updates.json BENCH_server.json \
-		BENCH_server_chaos.json
+	$(PYTHON) tools/check_bench.py $(SMOKES:%=BENCH_%.json)
 
 check-links:
 	$(PYTHON) tools/check_links.py

@@ -1,6 +1,6 @@
 """Chaos harness: liveness + uniformity under injected faults.
 
-``python -m repro.bench.chaos [OUT.json]`` drives the distributed
+``python -m repro.bench chaos [OUT.json]`` drives the distributed
 sampler through escalating per-operation fault rates and through
 targeted mid-query crashes, asserting the two properties the
 fault-tolerance design promises (``docs/fault_tolerance.md``):
@@ -14,20 +14,19 @@ fault-tolerance design promises (``docs/fault_tolerance.md``):
   reject at any fault rate (failover re-opens filter already-emitted
   samples, so the conditional stream is still a uniform permutation).
 
-The report lands in ``BENCH_chaos.json`` (CI uploads it as an
-artifact).  Scales are smoke-sized: minutes of laptop time, tuned for
-a regression tripwire rather than a paper figure.
+The report lands in ``BENCH_chaos.json``; ``tools/check_bench.py``
+gates every liveness, uniformity and crash check exactly.  Scales are
+smoke-sized: minutes of laptop time, tuned for a regression tripwire
+rather than a paper figure.
 """
 
 from __future__ import annotations
-
-import json
-import sys
 
 import random
 
 from scipy import stats
 
+from repro.bench.report import report
 from repro.core.geometry import Rect
 from repro.core.records import Record
 from repro.core.sampling.base import take
@@ -36,7 +35,7 @@ from repro.distributed.dist_sampler import DistributedSampler
 from repro.faults import FaultPlan
 from repro.obs import Observability
 
-__all__ = ["run_chaos", "main"]
+__all__ = ["run_chaos"]
 
 #: Per-operation error probabilities the sweep escalates through.
 FAULT_RATES = (0.0, 0.01, 0.1)
@@ -111,7 +110,6 @@ def _uniformity_sweep(rates, n: int, workers: int, replication: int,
             "trials": trials,
             "completed": completed,
             "p_value": p_value,
-            "uniform": p_value > P_THRESHOLD,
             "min_coverage": min_coverage,
             "errors": reg.counter("storm.cluster.fault.errors").value,
             "retries": reg.counter(
@@ -162,49 +160,29 @@ def run_chaos(n: int = N_POINTS, workers: int = N_WORKERS,
                               k, seed)
     crash_replicated = _crash_scenario(2, n, workers, seed)
     crash_bare = _crash_scenario(1, n, workers, seed)
-    ok = all(row["completed"] == row["trials"] and row["uniform"]
-             for row in sweep)
+    checks: dict[str, bool] = {}
+    for row in sweep:
+        rate = row["fault_rate"]
+        checks[f"fault_rate_{rate}.all_completed"] = \
+            row["completed"] == row["trials"]
+        checks[f"fault_rate_{rate}.uniform"] = \
+            row["p_value"] > P_THRESHOLD
     # With a replica the crash must be invisible to the result...
-    ok = ok and crash_replicated["distinct"] == n \
-        and crash_replicated["coverage"] == 1.0 \
-        and crash_replicated["leaked_streams"] == 0
+    checks["crash_with_replica.all_distinct"] = \
+        crash_replicated["distinct"] == n
+    checks["crash_with_replica.full_coverage"] = \
+        crash_replicated["coverage"] == 1.0
+    checks["crash_with_replica.no_leaked_streams"] = \
+        crash_replicated["leaked_streams"] == 0
     # ...without one it must degrade, not fail.
-    ok = ok and crash_bare["coverage"] < 1.0 \
-        and crash_bare["leaked_streams"] == 0
-    return {
-        "benchmark": "chaos",
+    checks["crash_without_replica.degraded_coverage"] = \
+        crash_bare["coverage"] < 1.0
+    checks["crash_without_replica.no_leaked_streams"] = \
+        crash_bare["leaked_streams"] == 0
+    return report("chaos", {}, checks, {
         "n": n, "workers": workers, "replication": replication,
         "trials": trials, "k": k,
         "fault_rate_sweep": sweep,
         "crash_with_replica": crash_replicated,
         "crash_without_replica": crash_bare,
-        "ok": ok,
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI: run the harness, print a summary, write the JSON report."""
-    args = sys.argv[1:] if argv is None else argv
-    out_path = args[0] if args else "BENCH_chaos.json"
-    report = run_chaos()
-    for row in report["fault_rate_sweep"]:
-        print(f"rate={row['fault_rate']:<5} completed="
-              f"{row['completed']}/{row['trials']} "
-              f"p={row['p_value']:.4f} retries={row['retries']} "
-              f"failovers={row['failovers']} "
-              f"degraded={row['degraded']}")
-    for key in ("crash_with_replica", "crash_without_replica"):
-        row = report[key]
-        print(f"{key}: emitted={row['emitted']} "
-              f"distinct={row['distinct']}/{row['population']} "
-              f"coverage={row['coverage']:.2f} "
-              f"failovers={row['failovers']}")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out_path}")
-    return 0 if report["ok"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    })

@@ -1,6 +1,6 @@
 """Recovery chaos harness: kill-during-update + WAL replay bench.
 
-``python -m repro.bench.recovery [OUT.json]`` drives the durable write
+``python -m repro.bench recovery [OUT.json]`` drives the durable write
 path (UpdateManager → WAL → DocumentStore → SimulatedDFS) through the
 four crash points the durability design must survive
 (``docs/operations.md`` documents the runbook):
@@ -24,17 +24,16 @@ batch, no replayed uncommitted batch.
 
 A replay micro-benchmark then times ``recover_store`` over a long
 insert-only log and reports replayed operations per second.  The
-report lands in ``BENCH_recovery.json`` (CI uploads it as an
-artifact); scales are smoke-sized regression tripwires.
+report lands in ``BENCH_recovery.json``; scales are smoke-sized
+regression tripwires.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import sys
 import time
 
+from repro.bench.report import metric, report
 from repro.core.engine import Dataset
 from repro.core.records import Record
 from repro.errors import WriteCrashError
@@ -46,7 +45,7 @@ from repro.storage.recovery import checkpoint_store, recover_store
 from repro.storage.wal import WriteAheadLog
 from repro.updates.manager import UpdateBatch, UpdateManager
 
-__all__ = ["run_recovery_chaos", "main"]
+__all__ = ["run_recovery_chaos"]
 
 N_SEED_RECORDS = 200
 BATCHES = 10
@@ -212,7 +211,6 @@ def _replay_benchmark(seed: int) -> dict:
     elapsed = time.perf_counter() - start
     ops = report.ops_replayed
     return {
-        "benchmark": "wal-replay",
         "batches_replayed": report.batches_replayed,
         "ops_replayed": ops,
         "wal_bytes": wal.size_bytes(),
@@ -234,37 +232,11 @@ def run_recovery_chaos(seed: int = 23) -> dict:
         _scenario_torn_tail(seed),
     ]
     replay = _replay_benchmark(seed)
-    return {
-        "benchmark": "recovery-chaos",
-        "seed": seed,
-        "batches": BATCHES,
-        "scenarios": scenarios,
-        "replay": replay,
-        "ok": all(s["ok"] for s in scenarios) and replay["ok"],
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI: run the harness, print a summary, write the JSON report."""
-    args = sys.argv[1:] if argv is None else argv
-    out_path = args[0] if args else "BENCH_recovery.json"
-    report = run_recovery_chaos()
-    for row in report["scenarios"]:
-        print(f"{row['scenario']}: committed="
-              f"{row['committed_batches']} "
-              f"replayed={row['report']['batches_replayed']} "
-              f"discarded={row['report']['bytes_discarded']}B "
-              f"match={row['state_matches']} ok={row['ok']}")
-    replay = report["replay"]
-    print(f"wal-replay: {replay['ops_replayed']} ops in "
-          f"{replay['seconds']:.3f}s "
-          f"({replay['ops_per_second']:.0f} ops/s)")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out_path}")
-    return 0 if report["ok"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    checks = {f"scenarios.{s['scenario']}.ok": s.pop("ok")
+              for s in scenarios}
+    checks["replay.ok"] = replay.pop("ok")
+    ops_per_second = metric(replay.pop("ops_per_second"), "1/s",
+                            "higher")
+    return report("recovery", {"replay.ops_per_second": ops_per_second},
+                  checks, {"seed": seed, "batches": BATCHES,
+                           "scenarios": scenarios, "replay": replay})

@@ -1,6 +1,6 @@
 """Query-service bench: concurrent tenants over the HTTP API.
 
-``python -m repro.bench.server [OUT.json]`` stands up the real stack —
+``python -m repro.bench server [OUT.json]`` stands up the real stack —
 :class:`~repro.server.http.StormServer` on an ephemeral port over a
 :class:`~repro.server.service.QueryService` and one engine — and
 measures it the way a deployment would see it:
@@ -30,17 +30,17 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 import threading
 import time
 import urllib.request
 
+from repro.bench.report import metric, percentile, report
 from repro.core.engine import StormEngine
 from repro.core.records import Record
 from repro.server import (QueryService, ServerConfig, StormServer)
 from repro.server.protocol import ApiError
 
-__all__ = ["run_server_bench", "main"]
+__all__ = ["run_server_bench"]
 
 N_RECORDS = 20_000
 TENANTS = 8
@@ -61,14 +61,6 @@ def _records(n: int, seed: int = 5) -> list[Record]:
                    lat=rng.uniform(0, 100), t=rng.uniform(0, 1000),
                    attrs={"v": rng.gauss(10, 2)})
             for i in range(n)]
-
-
-def _percentile(values: list[float], q: float) -> float:
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    idx = min(len(ordered) - 1, round(q * (len(ordered) - 1)))
-    return ordered[idx]
 
 
 def _post(url: str, path: str, body: dict, tenant: str,
@@ -180,8 +172,8 @@ def _oneshot_phase(server: StormServer) -> dict:
     return {
         "queries": len(latencies),
         "errors": errors,
-        "query_p50_seconds": _percentile(latencies, 0.50),
-        "query_p99_seconds": _percentile(latencies, 0.99),
+        "query_p50_seconds": percentile(latencies, 0.50),
+        "query_p99_seconds": percentile(latencies, 0.99),
     }
 
 
@@ -269,53 +261,34 @@ def run_server_bench() -> dict:
         drained = server.stop()
     saturation = _saturation_probe()
     determinism = _determinism_probe()
-    ok = (streams["completed"] == streams["streams"]
-          and not streams["errors"]
-          and oneshot["queries"] == N_ONESHOT
-          and not oneshot["errors"]
-          and fairness >= FAIRNESS_FLOOR
-          and saturation["ok"]
-          and determinism["ok"]
-          and drained)
-    return {
-        "bench": "server",
+    metrics = {
+        "server.streams_per_sec": metric(
+            streams.pop("streams_per_sec"), "1/s", "higher"),
+        "server.query_p50_seconds": metric(
+            oneshot.pop("query_p50_seconds"), "s", "lower"),
+        "server.query_p99_seconds": metric(
+            oneshot.pop("query_p99_seconds"), "s", "lower"),
+        "server.fairness_index": metric(fairness, "ratio", "higher"),
+    }
+    checks = {
+        "streams.all_completed":
+            streams["completed"] == streams["streams"],
+        "streams.no_errors": not streams["errors"],
+        "oneshot.all_answered": oneshot["queries"] == N_ONESHOT,
+        "oneshot.no_errors": not oneshot["errors"],
+        "fairness_at_floor": fairness >= FAIRNESS_FLOOR,
+        "saturation.ok": saturation.pop("ok"),
+        "determinism.ok": determinism.pop("ok"),
+        "drained": drained,
+    }
+    return report("server", metrics, checks, {
         "config": {"records": N_RECORDS, "tenants": TENANTS,
                    "streams_per_tenant": STREAMS_PER_TENANT,
                    "quantum": QUANTUM,
                    "oneshot_queries": N_ONESHOT},
-        "server": {
-            "streams_per_sec": streams["streams_per_sec"],
-            "query_p50_seconds": oneshot["query_p50_seconds"],
-            "query_p99_seconds": oneshot["query_p99_seconds"],
-            "fairness_index": fairness,
-        },
         "streams": streams,
         "oneshot": oneshot,
         "fairness_per_tenant": per_tenant,
         "saturation": saturation,
         "determinism": determinism,
-        "drained": drained,
-        "ok": ok,
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    out = argv[0] if argv else "BENCH_server.json"
-    report = run_server_bench()
-    server = report["server"]
-    print(f"streams/s: {server['streams_per_sec']:.2f}  "
-          f"p50: {server['query_p50_seconds'] * 1e3:.1f}ms  "
-          f"p99: {server['query_p99_seconds'] * 1e3:.1f}ms  "
-          f"fairness: {server['fairness_index']:.3f}  "
-          f"ok={report['ok']}")
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out}")
-    return 0 if report["ok"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    })

@@ -1,6 +1,6 @@
 """Service-layer chaos harness: kill, restart, disconnect, wedge.
 
-``python -m repro.bench.server_chaos [OUT.json]`` drives a real
+``python -m repro.bench server_chaos [OUT.json]`` drives a real
 socket server (:class:`~repro.server.http.StormServer` on an
 ephemeral port) through the failures production traffic produces,
 and verifies the resilience contract end to end:
@@ -42,12 +42,12 @@ import random
 import shutil
 import socket
 import struct
-import sys
 import tempfile
 import threading
 import time
 import urllib.request
 
+from repro.bench.report import metric, report
 from repro.core.engine import StormEngine
 from repro.core.records import Record
 from repro.faults import FaultPlan
@@ -55,7 +55,7 @@ from repro.server import (QueryService, ServerConfig, StormServer,
                           TenantQuota)
 from repro.server.protocol import ApiError, encode_frame
 
-__all__ = ["run_server_chaos", "main"]
+__all__ = ["run_server_chaos"]
 
 N_RECORDS = 6_000
 QUANTUM = 16
@@ -415,40 +415,18 @@ def run_server_chaos() -> dict:
               + by_name["wedged_quantum"]["outcomes"].count("end")
               + (1 if resume["ok"] else 0)
               + (2 if by_name["load_shed"]["ok"] else 0))
-    ok = all(s["ok"] for s in scenarios)
-    return {
-        "bench": "server_chaos",
+    checks = {f"scenarios.{s['scenario']}.ok": s.pop("ok")
+              for s in scenarios}
+    checks["server_chaos.resume_deterministic"] = \
+        resume.pop("resume_deterministic")
+    return report("server_chaos", {
+        "server_chaos.recovery_seconds": metric(
+            resume.pop("recovery_seconds"), "s", "lower"),
+        "server_chaos.served_streams": metric(served, "count",
+                                              "higher"),
+    }, checks, {
         "config": {"records": N_RECORDS, "quantum": QUANTUM,
                    "resume_query": RESUME_QUERY,
                    "resume_seed": RESUME_SEED},
-        "server_chaos": {
-            "recovery_seconds": resume["recovery_seconds"],
-            "served_streams": served,
-            "shed_streams": by_name["load_shed"]["shed_streams"],
-            "resume_deterministic": resume["resume_deterministic"],
-        },
         "scenarios": scenarios,
-        "ok": ok,
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    out = argv[0] if argv else "BENCH_server_chaos.json"
-    report = run_server_chaos()
-    chaos = report["server_chaos"]
-    print(f"recovery: {chaos['recovery_seconds']:.2f}s  "
-          f"served: {chaos['served_streams']}  "
-          f"shed: {chaos['shed_streams']}  "
-          f"resume_deterministic={chaos['resume_deterministic']}  "
-          f"ok={report['ok']}")
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out}")
-    return 0 if report["ok"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    })

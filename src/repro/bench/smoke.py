@@ -1,4 +1,4 @@
-"""Sampling fast-path smoke benchmark: ``python -m repro.bench.smoke``.
+"""Sampling fast-path smoke benchmark: ``python -m repro.bench sampling``.
 
 Runs the repeated-query workload (the dashboard pattern: the same range
 queried over and over) for every sampler on a small synthetic OSM
@@ -15,21 +15,18 @@ always carries the speedup context.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import random
-import sys
 import time
 
 from repro.bench.harness import build_osm_dataset, fig3a_query
+from repro.bench.report import metric, report
 from repro.core.blocks import RecordBlock
 from repro.core.estimators.aggregates import AvgEstimator
 from repro.core.records import attribute_getter
-from repro.obs import profiled
 from repro.storage.json_codec import canonical_json
 
-__all__ = ["run_smoke", "main"]
+__all__ = ["run_smoke"]
 
 N = 20_000
 K = 256
@@ -53,17 +50,14 @@ BASELINE_SAMPLES_PER_SEC = {
 }
 
 
-def _block_encoding_stats(dataset) -> dict:
-    """Bytes-per-point of the columnar block encoding vs JSON documents
-    (reported under the ``block_cache`` key of the smoke report)."""
+def _block_encoding_stats(dataset) -> tuple[float, dict]:
+    """Bytes-per-point of the columnar block encoding, and its JSON
+    document comparison (the ``block_cache`` figures of the report)."""
     records = list(dataset.records.values())
-    if not records:
-        return {}
     payload = RecordBlock.from_records(records).encode()
     json_bytes = sum(len(canonical_json(r.to_document()).encode()) + 1
                      for r in records)
-    return {
-        "bytes_per_point": round(len(payload) / len(records), 2),
+    return round(len(payload) / len(records), 2), {
         "json_bytes_per_point": round(json_bytes / len(records), 2),
         "points_per_byte_gain": round(json_bytes / len(payload), 2),
     }
@@ -83,7 +77,8 @@ def run_smoke(n: int = N, k: int = K, repeats: int = REPEATS,
     """
     dataset, workload = build_osm_dataset(n=n, seed=seed)
     query = fig3a_query(workload).to_rect(dataset.dims)
-    results: dict[str, dict] = {}
+    metrics: dict[str, dict] = {}
+    samplers: dict[str, dict] = {}
     for method, sampler in sorted(dataset.samplers.items()):
         seeds = iter(range(1_000_000))
         for _ in range(WARMUP):
@@ -137,8 +132,9 @@ def run_smoke(n: int = N, k: int = K, repeats: int = REPEATS,
         assert best is not None
         _, sel_s, draw_s, absorb_s, drawn = best
         elapsed = sel_s + draw_s
+        metrics[f"samplers.{method}.samples_per_sec"] = metric(
+            round(drawn / elapsed, 1), "1/s", "higher")
         entry: dict[str, object] = {
-            "samples_per_sec": round(drawn / elapsed, 1),
             "samples": drawn,
             "seconds": round(elapsed, 4),
             "stages": {
@@ -160,67 +156,14 @@ def run_smoke(n: int = N, k: int = K, repeats: int = REPEATS,
                 "hits": hits, "misses": misses,
                 "hit_rate": round(hits / lookups, 3) if lookups else 0.0,
             }
-        results[method] = entry
-    return {
+        samplers[method] = entry
+    bytes_per_point, block_cache = _block_encoding_stats(dataset)
+    metrics["block_cache.bytes_per_point"] = metric(
+        bytes_per_point, "B/point", "lower")
+    return report("sampling", metrics, {}, {
         "workload": {"n": n, "k": k, "repeats": repeats,
                      "passes": PASSES, "seed": seed,
                      "pattern": "repeated-query"},
-        "block_cache": _block_encoding_stats(dataset),
-        "samplers": results,
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = argparse.ArgumentParser(
-        prog="repro.bench.smoke",
-        description="Sampling fast-path smoke benchmark.")
-    parser.add_argument("out", nargs="?", default="BENCH_sampling.json")
-    parser.add_argument("--profile", metavar="FILE",
-                        help="sample the run with the wall-clock "
-                             "profiler and write collapsed stacks "
-                             "(flamegraph format) to FILE")
-    parser.add_argument("--profile-hz", type=float, default=199.0,
-                        help="profiler sampling rate (default 199)")
-    args = parser.parse_args(argv)
-    out = args.out
-    if args.profile:
-        with profiled(args.profile, hz=args.profile_hz) as prof:
-            report = run_smoke()
-        report["profile"] = prof.summary()
-        top = prof.top_frames(1)
-        if top:
-            print(f"profile: {prof.samples} samples, "
-                  f"{len(prof.stacks)} stacks -> {args.profile}; "
-                  f"hottest frame {top[0][0]} ({top[0][1]})")
-    else:
-        report = run_smoke()
-    with open(out, "w") as f:
-        json.dump(report, f, indent=2)
-        f.write("\n")
-    bc = report.get("block_cache") or {}
-    if bc:
-        print(f"block cache {bc['bytes_per_point']:.1f} B/point "
-              f"vs {bc['json_bytes_per_point']:.1f} JSON "
-              f"({bc['points_per_byte_gain']:.1f}x denser)")
-    width = max(len(m) for m in report["samplers"])
-    for method, entry in report["samplers"].items():
-        line = (f"{method:<{width}}  "
-                f"{entry['samples_per_sec']:>12,.1f} samples/s")
-        if "speedup_vs_baseline" in entry:
-            line += f"  ({entry['speedup_vs_baseline']:.2f}x baseline)"
-        stages = entry.get("stages")
-        if stages:
-            line += (f"  [sel {stages['selection_seconds']:.3f}s"
-                     f" draw {stages['draw_seconds']:.3f}s"
-                     f" absorb {stages['absorb_seconds']:.3f}s]")
-        cache = entry.get("canonical_cache")
-        if cache and cache["hits"] + cache["misses"] > 0:
-            line += f"  canon hit_rate={cache['hit_rate']:.1%}"
-        print(line)
-    print(f"wrote {out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        "block_cache": block_cache,
+        "samplers": samplers,
+    })

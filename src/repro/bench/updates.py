@@ -1,6 +1,6 @@
 """Sustained-ingest bench: per-record index inserts vs the LSM path.
 
-``python -m repro.bench.updates [OUT.json]`` measures the tiered
+``python -m repro.bench updates [OUT.json]`` measures the tiered
 ingest path at two layers:
 
 * **index path** — the layer this subsystem replaces.  Identical
@@ -32,11 +32,10 @@ sampler.
 
 from __future__ import annotations
 
-import json
 import random
-import sys
 import time
 
+from repro.bench.report import metric, percentile, report
 from repro.core.engine import Dataset
 from repro.core.geometry import Rect
 from repro.core.records import Record
@@ -47,7 +46,7 @@ from repro.storage.recovery import checkpoint_store
 from repro.storage.wal import WriteAheadLog
 from repro.updates.manager import UpdateBatch, UpdateManager
 
-__all__ = ["run_updates_bench", "main"]
+__all__ = ["run_updates_bench"]
 
 N_SEED_RECORDS = 10_000
 #: Index-path phase: enough inserts that the window contains ~23
@@ -56,7 +55,7 @@ N_INDEX_INSERTS = 24_000
 INDEX_MEMTABLE_LIMIT = 1024
 INDEX_COMPACT_AFTER_RUNS = 12
 #: Index-path timing is best-of-N (exactness must hold on every
-#: repeat) so the hard ``ok`` gate measures the code, not scheduler
+#: repeat) so the hard checks measure the code, not scheduler
 #: jitter on shared CI runners.
 INDEX_REPEATS = 3
 BATCHES = 40
@@ -80,14 +79,6 @@ def _records(n: int, seed: int, start_id: int = 0) -> list[Record]:
                    t=rng.uniform(0.0, 1000.0),
                    attrs={"v": round(rng.gauss(10.0, 2.0), 6)})
             for i in range(n)]
-
-
-def _percentile(values: list[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[idx]
 
 
 def _query_once(dataset: Dataset, rng: random.Random) -> float:
@@ -210,8 +201,8 @@ def _ingest_phase(with_lsm: bool, seed: int) -> dict:
         "inserts_per_sec": total_inserts / insert_seconds
         if insert_seconds > 0 else 0.0,
         "queries_during_ingest": len(latencies),
-        "query_p50_seconds": _percentile(latencies, 0.50),
-        "query_p99_seconds": _percentile(latencies, 0.99),
+        "query_p50_seconds": percentile(latencies, 0.50),
+        "query_p99_seconds": percentile(latencies, 0.99),
         "canon_hits": hits,
         "canon_misses": misses,
         "canon_hit_rate": hits / looked_up if looked_up else 0.0,
@@ -224,66 +215,27 @@ def _ingest_phase(with_lsm: bool, seed: int) -> dict:
 
 def run_updates_bench(seed: int = 29) -> dict:
     """All four phases plus the derived comparison figures."""
-    idx_base = _index_phase(False, seed)
-    idx_lsm = _index_phase(True, seed)
-    baseline = _ingest_phase(False, seed)
-    lsm = _ingest_phase(True, seed)
-    speedup = idx_lsm["inserts_per_sec"] / idx_base["inserts_per_sec"] \
-        if idx_base["inserts_per_sec"] > 0 else 0.0
-    exact = all(p["exact"] for p in (idx_base, idx_lsm, baseline, lsm))
-    report = {
-        "benchmark": "sustained-ingest",
-        "seed": seed,
-        "batches": BATCHES,
-        "batch_inserts": BATCH_INSERTS,
-        "index_path": {"baseline": idx_base, "lsm": idx_lsm,
-                       "speedup": speedup},
-        "baseline": baseline,
-        "lsm": lsm,
-        "ingest": {
-            "inserts_per_sec": idx_lsm["inserts_per_sec"],
-            "speedup_vs_per_record": speedup,
-            "query_p50_seconds": lsm["query_p50_seconds"],
-            "query_p99_seconds": lsm["query_p99_seconds"],
-            "canon_hit_rate": lsm["canon_hit_rate"],
-        },
-        "ok": exact and speedup >= TARGET_SPEEDUP
-        and lsm["canon_hit_rate"] > 0.0,
+    phases = {
+        "index_path": {"baseline": _index_phase(False, seed),
+                       "lsm": _index_phase(True, seed)},
+        "durable": {"baseline": _ingest_phase(False, seed),
+                    "lsm": _ingest_phase(True, seed)},
     }
-    return report
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI: run both phases, print a summary, write the report."""
-    args = sys.argv[1:] if argv is None else argv
-    out_path = args[0] if args else "BENCH_updates.json"
-    report = run_updates_bench()
-    idx = report["index_path"]
-    for phase in (idx["baseline"], idx["lsm"]):
-        extra = ""
-        if "seals" in phase:
-            extra = (f"  seals={phase['seals']} "
-                     f"compactions={phase['compactions']}")
-        print(f"index {phase['phase']}: {phase['inserted']} inserts "
-              f"in {phase['insert_seconds']:.3f}s "
-              f"({phase['inserts_per_sec']:,.0f}/s)  "
-              f"exact={phase['exact']}{extra}")
-    for phase in (report["baseline"], report["lsm"]):
-        print(f"durable {phase['phase']}: {phase['inserted']} inserts "
-              f"in {phase['insert_seconds']:.3f}s "
-              f"({phase['inserts_per_sec']:,.0f}/s)  "
-              f"p99 query {phase['query_p99_seconds'] * 1e3:.2f}ms  "
-              f"canon hit rate {phase['canon_hit_rate']:.2f}  "
-              f"exact={phase['exact']}")
-    ing = report["ingest"]
-    print(f"speedup vs per-record: {ing['speedup_vs_per_record']:.1f}x"
-          f"  (target >= {TARGET_SPEEDUP:.0f}x)  ok={report['ok']}")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out_path}")
-    return 0 if report["ok"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    idx_base = phases["index_path"]["baseline"]["inserts_per_sec"]
+    idx_lsm = phases["index_path"]["lsm"].pop("inserts_per_sec")
+    speedup = idx_lsm / idx_base if idx_base > 0 else 0.0
+    lsm = phases["durable"]["lsm"]
+    checks = {f"{path}.{name}.exact": phase.pop("exact")
+              for path, pair in phases.items()
+              for name, phase in pair.items()}
+    checks["speedup_meets_target"] = speedup >= TARGET_SPEEDUP
+    checks["durable.lsm.canon_cache_hits"] = lsm["canon_hit_rate"] > 0.0
+    return report("updates", {
+        "ingest.inserts_per_sec": metric(idx_lsm, "1/s", "higher"),
+        "ingest.speedup_vs_per_record": metric(speedup, "ratio",
+                                               "higher"),
+        "ingest.query_p99_seconds": metric(
+            lsm.pop("query_p99_seconds"), "s", "lower"),
+    }, checks, dict(phases, seed=seed, batches=BATCHES,
+                    batch_inserts=BATCH_INSERTS,
+                    target_speedup=TARGET_SPEEDUP))

@@ -353,9 +353,14 @@ class _StormHTTPServer(ThreadingHTTPServer):
     *after* the handler returns; a client that disconnected makes
     that flush raise, and stock socketserver prints a full traceback
     per dead socket.  Those are counted, not logged.
+
+    The listen backlog is 128, not socketserver's 5: a burst of
+    concurrent connects past the backlog has its SYNs dropped, and
+    each dropped client stalls for the kernel's 1 s SYN retransmit.
     """
 
     daemon_threads = True
+    request_queue_size = 128
     service: QueryService | None = None
 
     def handle_error(self, request, client_address) -> None:

@@ -47,8 +47,8 @@ class TestUniformityUnderFaults:
         report = run_chaos(n=120, workers=4, replication=2,
                            trials=120, k=6, rates=(0.0, 0.05),
                            seed=11)
-        assert report["ok"]
-        assert len(report["fault_rate_sweep"]) == 2
+        assert report["checks"] and all(report["checks"].values())
+        assert len(report["detail"]["fault_rate_sweep"]) == 2
 
 
 class TestMidStreamCrash:

@@ -234,14 +234,19 @@ class TestRecoveryBench:
     def test_recovery_chaos_smoke(self, tmp_path, capsys):
         import json
 
-        from repro.bench import recovery as bench
+        from repro.bench.report import main as bench_main
         out = tmp_path / "BENCH_recovery.json"
-        assert bench.main([str(out)]) == 0
+        assert bench_main(["recovery", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["ok"] is True
-        assert {s["scenario"] for s in report["scenarios"]} == {
-            "pre-wal-append", "post-append-pre-flush",
-            "mid-checkpoint", "torn-final-segment"}
-        for scenario in report["scenarios"]:
+        assert report["bench"] == "recovery"
+        assert report["checks"] == {
+            "scenarios.pre-wal-append.ok": True,
+            "scenarios.post-append-pre-flush.ok": True,
+            "scenarios.mid-checkpoint.ok": True,
+            "scenarios.torn-final-segment.ok": True,
+            "replay.ok": True}
+        for scenario in report["detail"]["scenarios"]:
             assert scenario["state_matches"] is True
-        assert report["replay"]["ops_per_second"] > 0
+        ops = report["metrics"]["replay.ops_per_second"]
+        assert ops["value"] > 0 and ops["better"] == "higher"
+        assert "replay.ops_per_second" in capsys.readouterr().out

@@ -22,33 +22,42 @@ def _write(path, doc):
     return str(path)
 
 
-SAMPLING_DOC = {"samplers": {"rs-tree": {"samples_per_sec": 1000.0},
-                             "query-first": {"samples_per_sec": 800.0}}}
+def _doc(metrics=None, checks=None, better="higher", unit="1/s"):
+    """A bench report in the one layout ``repro.bench.report`` writes;
+    ``metrics`` maps name -> value, all in the ``better`` direction."""
+    return {"bench": "test",
+            "metrics": {name: {"value": value, "unit": unit,
+                               "better": better}
+                        for name, value in (metrics or {}).items()},
+            "checks": dict(checks or {}), "detail": {}}
+
+
+SAMPLING_DOC = _doc({"samplers.rs-tree.samples_per_sec": 1000.0,
+                     "samplers.query-first.samples_per_sec": 800.0})
 
 
 class TestCheckBench:
     def test_passes_when_at_baseline(self, tmp_path, capsys):
         fresh = _write(tmp_path / "fresh.json", SAMPLING_DOC)
         base = _write(tmp_path / "base.json", SAMPLING_DOC)
-        assert check_bench.main([fresh, "--baseline", base]) == 0
+        assert check_bench.gate([fresh, "--baseline", base]) == 0
         out = capsys.readouterr().out
         assert "[ok]" in out
         assert "gate passed" in out
 
     def test_improvement_never_fails(self, tmp_path):
-        better = {"samplers": {
-            "rs-tree": {"samples_per_sec": 9999.0}}}
+        better = _doc({"samplers.rs-tree.samples_per_sec": 9999.0,
+                       "samplers.query-first.samples_per_sec": 800.0})
         fresh = _write(tmp_path / "fresh.json", better)
         base = _write(tmp_path / "base.json", SAMPLING_DOC)
-        assert check_bench.main([fresh, "--baseline", base]) == 0
+        assert check_bench.gate([fresh, "--baseline", base]) == 0
 
     def test_regression_past_tolerance_fails(self, tmp_path, capsys):
-        slow = {"samplers": {
-            "rs-tree": {"samples_per_sec": 100.0},
-            "query-first": {"samples_per_sec": 790.0}}}
+        slow = _doc({"samplers.rs-tree.samples_per_sec": 100.0,
+                     "samplers.query-first.samples_per_sec": 790.0})
         fresh = _write(tmp_path / "fresh.json", slow)
         base = _write(tmp_path / "base.json", SAMPLING_DOC)
-        assert check_bench.main(
+        assert check_bench.gate(
             [fresh, "--baseline", base, "--tolerance", "0.5"]) == 1
         err = capsys.readouterr().err
         assert "rs-tree" in err and "regressed" in err
@@ -59,64 +68,90 @@ class TestCheckBench:
                                                  capsys):
         # A recovery bench that got *faster* but recovered the wrong
         # state must still fail.
-        doc = {"ok": False,
-               "scenarios": [
-                   {"scenario": "torn_tail", "ok": True},
-                   {"scenario": "kill_mid_checkpoint", "ok": False}],
-               "replay": {"ops_per_second": 1e9}}
-        base = dict(doc, ok=True)
+        checks = {"scenarios.torn_tail.ok": True,
+                  "scenarios.kill_mid_checkpoint.ok": False}
+        doc = _doc({"replay.ops_per_second": 1e9}, checks)
+        base = _doc({"replay.ops_per_second": 1e3},
+                    dict(checks, **{"scenarios.kill_mid_checkpoint.ok":
+                                    True}))
         fresh = _write(tmp_path / "fresh.json", doc)
         baseline = _write(tmp_path / "base.json", base)
-        rc = check_bench.main([fresh, "--baseline", baseline])
+        rc = check_bench.gate([fresh, "--baseline", baseline])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "ok is false" in err
-        assert "kill_mid_checkpoint" in err
+        assert "kill_mid_checkpoint.ok is false" in err
         assert "torn_tail" not in err
 
     def test_missing_baseline_skips_gate(self, tmp_path, capsys):
         fresh = _write(tmp_path / "fresh.json", SAMPLING_DOC)
-        rc = check_bench.main(
+        rc = check_bench.gate(
             [fresh, "--baseline", str(tmp_path / "nope.json")])
         assert rc == 0
         assert "skipping throughput gate" in capsys.readouterr().out
 
     def test_unreadable_fresh_file_fails(self, tmp_path):
-        assert check_bench.main([str(tmp_path / "missing.json")]) == 1
+        assert check_bench.gate([str(tmp_path / "missing.json")]) == 1
 
     def test_bad_tolerance_rejected(self, tmp_path):
         fresh = _write(tmp_path / "fresh.json", SAMPLING_DOC)
         with pytest.raises(SystemExit):
-            check_bench.main([fresh, "--tolerance", "1.5"])
+            check_bench.gate([fresh, "--tolerance", "1.5"])
 
     def test_baseline_with_multiple_files_rejected(self, tmp_path):
         fresh = _write(tmp_path / "fresh.json", SAMPLING_DOC)
         with pytest.raises(SystemExit):
-            check_bench.main([fresh, fresh, "--baseline", fresh])
+            check_bench.gate([fresh, fresh, "--baseline", fresh])
+
+    def test_metric_missing_from_fresh_report_fails(self, tmp_path,
+                                                    capsys):
+        # A smoke that stops reporting a gated figure (or a check)
+        # must not slip past the gate by omission.
+        base = _doc({"samplers.rs-tree.samples_per_sec": 1000.0},
+                    {"drained": True})
+        fresh = _write(tmp_path / "fresh.json", _doc())
+        baseline = _write(tmp_path / "base.json", base)
+        assert check_bench.gate([fresh, "--baseline", baseline]) == 1
+        err = capsys.readouterr().err
+        assert "samplers.rs-tree.samples_per_sec is missing" in err
+        assert "check drained is missing" in err
+
+    def test_old_layout_is_unreadable(self, tmp_path, capsys):
+        old = {"samplers": {"rs-tree": {"samples_per_sec": 1000.0}}}
+        fresh = _write(tmp_path / "fresh.json", old)
+        assert check_bench.gate([fresh]) == 1
+        assert "unreadable" in capsys.readouterr().err
 
     def test_committed_baselines_pass_for_committed_files(self):
-        # The real gate, exactly as `make check-bench` runs it: the
-        # committed files compared against themselves via git show.
+        # The real gate, exactly as `make check-bench` runs it: every
+        # committed file compared against itself via git show.
         repo = TOOLS.parent
-        sampling = repo / "BENCH_sampling.json"
-        recovery = repo / "BENCH_recovery.json"
-        if not (sampling.exists() and recovery.exists()):
+        files = sorted(p.name for p in repo.glob("BENCH_*.json"))
+        if not files:
             pytest.skip("no committed bench files")
         import os
         cwd = os.getcwd()
         os.chdir(repo)
         try:
-            rc = check_bench.main(["BENCH_sampling.json",
-                                   "BENCH_recovery.json"])
+            rc = check_bench.gate(files)
         finally:
             os.chdir(cwd)
         assert rc == 0
 
 
-INGEST_DOC = {"ok": True,
-              "ingest": {"inserts_per_sec": 50_000.0,
-                         "speedup_vs_per_record": 12.0,
-                         "query_p99_seconds": 0.005}}
+INGEST_DOC = _doc(
+    {"ingest.inserts_per_sec": 50_000.0,
+     "ingest.speedup_vs_per_record": 12.0},
+    {"speedup_meets_target": True})
+INGEST_DOC["metrics"]["ingest.query_p99_seconds"] = {
+    "value": 0.005, "unit": "s", "better": "lower"}
+
+
+def _ingest(**values):
+    """INGEST_DOC with some metric values replaced."""
+    doc = json.loads(json.dumps(INGEST_DOC))
+    for name, value in values.items():
+        doc["metrics"][f"ingest.{name}"]["value"] = value
+    return doc
 
 
 class TestCheckBenchIngest:
@@ -125,44 +160,40 @@ class TestCheckBenchIngest:
 
     def test_ingest_metrics_extracted(self):
         metrics = check_bench._metrics(INGEST_DOC)
-        assert metrics == {"ingest.inserts_per_sec": 50_000.0,
-                           "ingest.speedup_vs_per_record": 12.0,
-                           "ingest.query_p99_seconds": 0.005}
+        assert metrics == {
+            "ingest.inserts_per_sec": (50_000.0, "higher"),
+            "ingest.speedup_vs_per_record": (12.0, "higher"),
+            "ingest.query_p99_seconds": (0.005, "lower")}
 
     def test_throughput_drop_fails(self, tmp_path, capsys):
-        slow = {"ok": True,
-                "ingest": dict(INGEST_DOC["ingest"],
-                               inserts_per_sec=1_000.0)}
-        fresh = _write(tmp_path / "fresh.json", slow)
+        fresh = _write(tmp_path / "fresh.json",
+                       _ingest(inserts_per_sec=1_000.0))
         base = _write(tmp_path / "base.json", INGEST_DOC)
-        assert check_bench.main([fresh, "--baseline", base]) == 1
+        assert check_bench.gate([fresh, "--baseline", base]) == 1
         assert "inserts_per_sec" in capsys.readouterr().err
 
     def test_p99_latency_gates_upward(self, tmp_path, capsys):
         # Ten times the baseline p99 is a regression even though the
-        # raw number "went up" — *_seconds metrics invert direction.
-        slow = {"ok": True,
-                "ingest": dict(INGEST_DOC["ingest"],
-                               query_p99_seconds=0.05)}
-        fresh = _write(tmp_path / "fresh.json", slow)
+        # raw number "went up" — better="lower" inverts direction.
+        fresh = _write(tmp_path / "fresh.json",
+                       _ingest(query_p99_seconds=0.05))
         base = _write(tmp_path / "base.json", INGEST_DOC)
-        assert check_bench.main([fresh, "--baseline", base]) == 1
+        assert check_bench.gate([fresh, "--baseline", base]) == 1
         assert "query_p99_seconds" in capsys.readouterr().err
 
     def test_p99_inside_ceiling_passes(self, tmp_path):
-        near = {"ok": True,
-                "ingest": dict(INGEST_DOC["ingest"],
-                               query_p99_seconds=0.0051)}
-        fresh = _write(tmp_path / "fresh.json", near)
+        fresh = _write(tmp_path / "fresh.json",
+                       _ingest(query_p99_seconds=0.0051))
         base = _write(tmp_path / "base.json", INGEST_DOC)
-        assert check_bench.main([fresh, "--baseline", base]) == 0
+        assert check_bench.gate([fresh, "--baseline", base]) == 0
 
     def test_ok_false_fails_even_without_baseline(self, tmp_path):
         # Correctness is gated unconditionally — "record, don't gate"
         # applies only to throughput comparisons.
-        bad = dict(INGEST_DOC, ok=False)
+        bad = _ingest()
+        bad["checks"]["speedup_meets_target"] = False
         fresh = _write(tmp_path / "fresh.json", bad)
-        rc = check_bench.main(
+        rc = check_bench.gate(
             [fresh, "--baseline", str(tmp_path / "absent.json")])
         assert rc == 1
 
@@ -176,7 +207,7 @@ class TestCheckBenchIngest:
         monkeypatch.setattr(check_bench.subprocess, "run", no_git,
                             raising=True)
         fresh = _write(tmp_path / "fresh.json", INGEST_DOC)
-        assert check_bench.main([fresh]) == 0
+        assert check_bench.gate([fresh]) == 0
         assert "skipping throughput gate" in capsys.readouterr().out
 
 

@@ -592,6 +592,32 @@ class TestHTTP:
         assert status == 200 and doc["status"] == "ok"
         assert doc["streams"]["max_streams"] == 8
 
+    def test_connect_burst_is_not_dropped(self, server):
+        # 32 clients connect at once.  A listen backlog smaller than
+        # the burst drops SYNs, and every dropped client then waits
+        # for the kernel's 1 s SYN retransmit.
+        clients = 32
+        barrier = threading.Barrier(clients)
+        took: list[float] = []
+        lock = threading.Lock()
+
+        def client() -> None:
+            barrier.wait(timeout=30)
+            begin = time.perf_counter()
+            status, _ = _call(server, "GET", "/health", token=None)
+            with lock:
+                took.append(time.perf_counter() - begin
+                            if status == 200 else float("inf"))
+
+        threads = [threading.Thread(target=client)
+                   for _ in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(took) == clients
+        assert max(took) < 0.5
+
     def test_missing_token_is_401(self, server):
         code, doc, _ = _call_error(server, "GET", "/v1/datasets",
                                    token=None)

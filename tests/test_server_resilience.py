@@ -559,11 +559,11 @@ class TestDurableResume:
     RESUME_Q = ("ESTIMATE AVG(v) FROM pts "
                 "WHERE REGION(5, 5, 95, 95) SAMPLES 2000")
 
-    def make_service(self, journal_dir):
+    def make_service(self, journal_dir, faults=None):
         engine = make_engine(2000)
         return QueryService(engine, ServerConfig(
             max_streams=2, quantum=16,
-            journal_dir=str(journal_dir)))
+            journal_dir=str(journal_dir)), faults=faults)
 
     def run_to_completion(self, svc, session_id, task):
         deadline = time.monotonic() + 60
@@ -588,9 +588,12 @@ class TestDurableResume:
         ref_svc.shutdown(drain=False)
         assert len(reference) > 10
 
-        # Victim: killed (no drain) after a handful of frames.
+        # Victim: killed (no drain) after a handful of frames.  Its
+        # sixth quantum stalls, so the kill lands mid-stream however
+        # fast the first five run.
         live_dir = tmp_path / "live"
-        svc_a = self.make_service(live_dir)
+        svc_a = self.make_service(
+            live_dir, FaultPlan().delay("server.quantum", 1.0, nth=6))
         session_a = svc_a.create_session("t", "mine")["session"]
         task_a = svc_a.submit_stream(
             "t", {"query": self.RESUME_Q, "seed": 31337},

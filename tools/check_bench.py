@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Bench regression gate: fresh bench JSON vs the committed baseline.
 
-``make bench-smoke`` (and CI) produce fresh ``BENCH_sampling.json`` /
-``BENCH_recovery.json`` files; this script compares the throughput
-figures in a fresh file against the committed baseline and fails the
-build when any figure regressed past a tolerance band.  Correctness
-flags in the recovery bench (``ok``/``state_matches``) are enforced
-exactly — a wrong recovery is a failure at any speed.
+``make smoke-NAME`` (and CI) produce a fresh ``BENCH_<NAME>.json`` in
+the one report layout (``repro.bench.report``).  This script compares
+every figure under ``metrics`` against the committed baseline, in the
+direction its ``better`` names, and fails the build when any regressed
+past a tolerance band.  Every entry under ``checks`` must be true — a
+wrong recovery is a failure at any speed — and a metric or check the
+baseline has but the fresh report lacks is a failure too.
 
 Baselines come from ``git show HEAD:<file>`` by default (the committed
 state of the working tree, which is what a CI checkout has), or from
@@ -21,7 +22,7 @@ that a metric *improved* never fail.
 Usage::
 
     python tools/check_bench.py BENCH_sampling.json
-    python tools/check_bench.py BENCH_sampling.json BENCH_recovery.json
+    python tools/check_bench.py BENCH_*.json
     python tools/check_bench.py fresh.json --baseline old.json \
         --tolerance 0.3
 """
@@ -68,73 +69,16 @@ def load_baseline(path: str, baseline_path: "str | None") -> dict:
             f"committed {path} is not valid JSON: {exc}")
 
 
-def _metrics(doc: dict) -> dict[str, float]:
-    """The comparable throughput figures of one bench document.
-
-    Returns a flat ``label -> value`` dict; labels are stable across
-    runs so fresh and baseline line up by key.
-    """
-    out: dict[str, float] = {}
-    samplers = doc.get("samplers")
-    if isinstance(samplers, dict):
-        for method in sorted(samplers):
-            value = samplers[method].get("samples_per_sec")
-            if isinstance(value, (int, float)):
-                out[f"samplers.{method}.samples_per_sec"] = value
-    cache = doc.get("block_cache")
-    if isinstance(cache, dict):
-        value = cache.get("bytes_per_point")
-        if isinstance(value, (int, float)):
-            out["block_cache.bytes_per_point"] = value
-    replay = doc.get("replay")
-    if isinstance(replay, dict):
-        value = replay.get("ops_per_second")
-        if isinstance(value, (int, float)):
-            out["replay.ops_per_second"] = value
-    ingest = doc.get("ingest")
-    if isinstance(ingest, dict):
-        for key in ("inserts_per_sec", "speedup_vs_per_record",
-                    "query_p99_seconds"):
-            value = ingest.get(key)
-            if isinstance(value, (int, float)):
-                out[f"ingest.{key}"] = value
-    server = doc.get("server")
-    if isinstance(server, dict):
-        for key in ("streams_per_sec", "query_p50_seconds",
-                    "query_p99_seconds", "fairness_index"):
-            value = server.get(key)
-            if isinstance(value, (int, float)):
-                out[f"server.{key}"] = value
-    chaos = doc.get("server_chaos")
-    if isinstance(chaos, dict):
-        for key in ("recovery_seconds", "served_streams"):
-            value = chaos.get(key)
-            if isinstance(value, (int, float)):
-                out[f"server_chaos.{key}"] = value
-    return out
-
-
-def _lower_is_better(label: str) -> bool:
-    """Metrics that regress *upward*: latencies (``*_seconds``) and
-    storage density (``bytes_per_point``)."""
-    return label.endswith("_seconds") or label.endswith("bytes_per_point")
-
-
-def _correctness(doc: dict) -> list[tuple[str, bool]]:
-    """(label, ok) correctness flags that must hold exactly."""
-    out: list[tuple[str, bool]] = []
-    if "ok" in doc:
-        out.append(("ok", bool(doc["ok"])))
-    for i, scenario in enumerate(doc.get("scenarios", [])):
-        if isinstance(scenario, dict) and "ok" in scenario:
-            name = scenario.get("scenario", str(i))
-            out.append((f"scenarios.{name}.ok", bool(scenario["ok"])))
-    chaos = doc.get("server_chaos")
-    if isinstance(chaos, dict) and "resume_deterministic" in chaos:
-        # A resumed detached stream that is not byte-identical to an
-        # uninterrupted run is wrong at any speed.
-        out.append(("server_chaos.resume_deterministic",
-                    bool(chaos["resume_deterministic"])))
+def _metrics(doc: dict) -> dict[str, tuple[float, str]]:
+    """``name -> (value, better)`` for every gated figure of a report
+    (the layout ``repro.bench.report`` writes)."""
+    out: dict[str, tuple[float, str]] = {}
+    for name, entry in doc["metrics"].items():
+        value, better = entry["value"], entry["better"]
+        if not isinstance(value, (int, float)) or \
+                better not in ("higher", "lower"):
+            raise ValueError(f"malformed metric {name}: {entry!r}")
+        out[name] = (value, better)
     return out
 
 
@@ -143,54 +87,47 @@ def check_file(path: str, baseline_path: "str | None",
     """Compare one fresh bench file; returns failure messages."""
     with open(path) as f:
         fresh = json.load(f)
-    failures: list[str] = []
-    for label, ok in _correctness(fresh):
-        if not ok:
-            failures.append(f"{path}: {label} is false "
-                            f"(correctness gate, no tolerance)")
+    failures = [f"{path}: {name} is false "
+                f"(correctness gate, no tolerance)"
+                for name, ok in sorted(fresh["checks"].items())
+                if not ok]
+    fresh_metrics = _metrics(fresh)
     try:
         baseline = load_baseline(path, baseline_path)
     except BaselineUnavailable as exc:
         print(f"note: {exc}; skipping throughput gate for {path}")
         return failures
-    fresh_metrics = _metrics(fresh)
-    base_metrics = _metrics(baseline)
-    compared = 0
-    for label in sorted(base_metrics):
-        base = base_metrics[label]
-        if base <= 0 or label not in fresh_metrics:
+    failures.extend(
+        f"{path}: check {name} is missing from the fresh report"
+        for name in sorted(baseline["checks"])
+        if name not in fresh["checks"])
+    for name, (base, better) in sorted(_metrics(baseline).items()):
+        if name not in fresh_metrics:
+            failures.append(f"{path}: metric {name} is missing from "
+                            f"the fresh report")
             continue
-        value = fresh_metrics[label]
-        compared += 1
-        if _lower_is_better(label):
+        if base <= 0:
+            continue
+        value = fresh_metrics[name][0]
+        if better == "lower":
             # Wider headroom upward: 1/(1-tol) mirrors the throughput
             # floor, so p99 gating trips at the same relative slowdown.
-            ceil = base / (1.0 - tolerance)
-            status = "ok" if value <= ceil else "FAIL"
-            print(f"{path}: {label}  fresh={value:,.6f}  "
-                  f"baseline={base:,.6f}  ceiling={ceil:,.6f}  "
-                  f"[{status}]")
-            if value > ceil:
-                failures.append(
-                    f"{path}: {label} regressed: {value:,.6f} > "
-                    f"{ceil:,.6f} (baseline {base:,.6f}, "
-                    f"tolerance {tolerance:.0%})")
-            continue
-        floor = base * (1.0 - tolerance)
-        status = "ok" if value >= floor else "FAIL"
-        print(f"{path}: {label}  fresh={value:,.1f}  "
-              f"baseline={base:,.1f}  floor={floor:,.1f}  [{status}]")
-        if value < floor:
+            bound, kind = base / (1.0 - tolerance), "ceiling"
+            regressed = value > bound
+        else:
+            bound, kind = base * (1.0 - tolerance), "floor"
+            regressed = value < bound
+        print(f"{path}: {name}  fresh={value:.6g}  baseline={base:.6g}"
+              f"  {kind}={bound:.6g}  [{'FAIL' if regressed else 'ok'}]")
+        if regressed:
             failures.append(
-                f"{path}: {label} regressed: {value:,.1f} < "
-                f"{floor:,.1f} (baseline {base:,.1f}, "
+                f"{path}: {name} regressed: {value:.6g} past the "
+                f"{kind} {bound:.6g} (baseline {base:.6g}, "
                 f"tolerance {tolerance:.0%})")
-    if not compared:
-        print(f"note: {path}: no comparable metrics found")
     return failures
 
 
-def main(argv: "list[str] | None" = None) -> int:
+def gate(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="check_bench",
         description="Fail when fresh bench results regressed past a "
@@ -214,8 +151,8 @@ def main(argv: "list[str] | None" = None) -> int:
         try:
             failures.extend(check_file(path, args.baseline,
                                        args.tolerance))
-        except (OSError, ValueError) as exc:
-            failures.append(f"{path}: unreadable: {exc}")
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            failures.append(f"{path}: unreadable: {exc!r}")
     if failures:
         print("bench regression gate FAILED:", file=sys.stderr)
         for failure in failures:
@@ -226,4 +163,4 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(gate())
