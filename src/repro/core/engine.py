@@ -3,9 +3,12 @@
 :class:`Dataset` owns one indexed spatio-temporal data set — the Hilbert
 R-tree (shared by the QueryFirst/SampleFirst/RandomPath baselines and the
 RS-tree), the LS-tree forest, the record store and the per-dataset query
-optimizer.  :class:`StormEngine` is the user-facing registry plus
-convenience analytics (`avg`, `sum`, `count`, `kde`, ...), each of which
-opens an :class:`~repro.core.session.OnlineQuerySession` under the hood.
+optimizer.  Once tiered ingest (:mod:`repro.storage.lsm`) is attached,
+no plan reaches the forest, so the dataset drops it and an LSM
+compaction bulk-loads the main tree alone.  :class:`StormEngine` is the
+user-facing registry plus convenience analytics (`avg`, `sum`, `count`,
+`kde`, ...), each of which opens an
+:class:`~repro.core.session.OnlineQuerySession` under the hood.
 
 This module is deliberately storage-agnostic: records live in memory here,
 and the storage engine / data connector layers feed records in through
@@ -96,6 +99,9 @@ class Dataset:
         self.bounds = bounds if bounds is not None \
             else _padded_bounds(ordered, dims)
         self._build_rng = random.Random(seed)
+        #: Whether the dataset was built with the LS forest; persisted
+        #: by ``save_engine`` even after tiered ingest drops the forest.
+        self.build_ls = build_ls
         self.tree = HilbertRTree(dims, self.bounds, bits=HILBERT_BITS,
                                  leaf_capacity=leaf_capacity,
                                  branch_capacity=branch_capacity)
@@ -213,8 +219,9 @@ class Dataset:
         Dynamic inserts degrade packing over time (bulk-loaded trees are
         near-optimal, insertion-built ones are not); nothing calls this
         automatically — on the ingest path the LSM compaction is the
-        rebuild.  Sample buffers and LS levels are re-drawn, so
-        post-rebuild samples are as fresh as after an initial load.
+        rebuild.  Sample buffers and LS levels (with ``build_ls``) are
+        re-drawn, so post-rebuild samples are as fresh as after an
+        initial load.
         """
         if self.lsm is not None:
             # A compaction *is* the LSM's rebuild: it folds every run
@@ -235,7 +242,9 @@ class Dataset:
         builds an all-new node graph, so canonical sets pinned by
         in-flight snapshot streams keep the old graph alive and stay
         valid.  With an LSM attached this is the compaction primitive
-        — ``records`` is then the main-tier subset, not the full store.
+        — ``records`` is then the main-tier subset, not the full store,
+        and there is no forest: one main-tree bulk load plus the
+        RS-tree's prepare.
         """
         ordered = list(records)
         self.tree.bulk_load(
@@ -256,13 +265,31 @@ class Dataset:
 
         Registers the snapshot-pinned tiered sampler; from here on
         :meth:`plan` routes every default query through it, since the
-        per-tree samplers only see the main tier.
+        per-tree samplers only see the main tier.  The LS forest is
+        dropped (see :meth:`_drop_forest`).
         """
         from repro.core.sampling.tiered import TieredSampler
+        self._drop_forest()
         self.lsm = lsm
         sampler = TieredSampler(self)
         sampler.bind_observability(self.obs)
         self.samplers[sampler.name] = sampler
+
+    def _drop_forest(self) -> None:
+        """Release the LS forest and its sampler for tiered ingest.
+
+        :meth:`plan` refuses ``USING`` under an LSM and never asks the
+        optimizer, so no query can reach the forest; keeping it would
+        only make every compaction rebuild it.  The optimizer is
+        rebuilt over the remaining samplers so it holds no reference
+        either.  The forest drew its levels from its own ``Random``,
+        so ``_build_rng`` is untouched.
+        """
+        if self.forest is None:
+            return
+        self.forest = None
+        del self.samplers["ls-tree"]
+        self.optimizer = QueryOptimizer(self.samplers)
 
     # -- sessions ------------------------------------------------------------
 

@@ -17,7 +17,10 @@ and renamed over the target, so a crash mid-flush leaves the previous
 file intact (stale ``.tmp`` leftovers are swept on load).  Serialisation
 goes through :func:`~repro.storage.json_codec.canonical_json`, which
 raises a typed :class:`~repro.errors.StorageError` on values JSON
-cannot represent instead of silently coercing them.
+cannot represent instead of silently coercing them.  A collection
+keeps each document's encoded line from the last flush and drops it
+on every write to that id, so a flush re-encodes only the documents
+written since the one before.
 """
 
 from __future__ import annotations
@@ -82,6 +85,10 @@ class Collection:
     def __init__(self, name: str):
         self.name = name
         self._docs: dict[Any, dict[str, Any]] = {}
+        #: ``_id`` -> the document's encoded JSON line, as of the last
+        #: :meth:`to_jsonl`.  Every write drops its id's line; its keys
+        #: are always a subset of ``_docs``.
+        self._lines: dict[Any, bytes] = {}
         self._next_id = 0
 
     def __len__(self) -> int:
@@ -118,9 +125,11 @@ class Collection:
         stored = dict(doc)
         stored["_id"] = doc_id
         self._docs[doc_id] = stored
+        self._lines.pop(doc_id, None)
 
     def delete_one(self, doc_id: Any) -> bool:
         """Delete by id; returns whether it existed."""
+        self._lines.pop(doc_id, None)
         return self._docs.pop(doc_id, None) is not None
 
     def upsert_one(self, doc: Mapping[str, Any]) -> Any:
@@ -130,6 +139,7 @@ class Collection:
         if "_id" not in stored:
             return self.insert_one(stored)
         self._docs[stored["_id"]] = stored
+        self._lines.pop(stored["_id"], None)
         return stored["_id"]
 
     def delete_many(self, flt: Mapping[str, Any]) -> int:
@@ -138,6 +148,7 @@ class Collection:
                   if matches_filter(d, flt)]
         for doc_id in doomed:
             del self._docs[doc_id]
+            self._lines.pop(doc_id, None)
         return len(doomed)
 
     # -- reads ------------------------------------------------------------------
@@ -177,9 +188,22 @@ class Collection:
     def to_jsonl(self) -> bytes:
         """Serialise to JSON-lines bytes (deterministic: sorted keys,
         ids in insertion order).  Raises :class:`StorageError` on a
-        document JSON cannot represent — never coerces silently."""
-        lines = [canonical_json(doc) for doc in self._docs.values()]
-        return ("\n".join(lines) + ("\n" if lines else "")).encode()
+        document JSON cannot represent — never coerces silently.
+
+        Only documents written since the last call are encoded; the
+        others reuse their cached line.  Stored documents are values:
+        a nested object changed in place without a write is not seen.
+        """
+        lines = self._lines
+        out = []
+        for doc_id, doc in self._docs.items():
+            line = lines.get(doc_id)
+            if line is None:
+                line = lines[doc_id] = canonical_json(doc).encode()
+            out.append(line)
+        if out:
+            out.append(b"")
+        return b"\n".join(out)
 
     @classmethod
     def from_jsonl(cls, name: str, payload: bytes) -> "Collection":

@@ -22,8 +22,9 @@ LSN from which replay must resume.
 
 **Compaction** — sealed runs and tombstones fold into the main tree in
 one atomic swap (a single bulk load = one version bump for thousands
-of records), the manifest empties, and — via the update manager's
-checkpoint — covered WAL segments are pruned.
+of records; the dataset keeps no LS forest under an LSM, so that is
+the only index rebuilt), the manifest empties, and — via the update
+manager's checkpoint — covered WAL segments are pruned.
 
 **Snapshots** — a sample stream pins the tiers it opened with: the
 main tree's canonical set, the list of sealed runs, a frozen copy of
@@ -284,8 +285,12 @@ class LSMTree:
         with one bulk load, and sweep orphan files from interrupted
         seals.  Every crash point of seal/flush/compact lands in a
         state this procedure repairs (see the crash-matrix suite).
+
+        The dataset's LS forest is dropped first, so neither that
+        bulk load nor any later compaction rebuilds it.
         """
         lsm = cls(dataset, dfs=dfs, wal=wal, prefix=prefix, **kwargs)
+        dataset._drop_forest()
         manifest = lsm._load_manifest()
         if manifest is not None:
             lsm._restore_runs(manifest)

@@ -64,7 +64,7 @@ def save_engine(engine: StormEngine, store: DocumentStore,
             "record_count": len(dataset),
             "leaf_capacity": dataset.tree.leaf_capacity,
             "branch_capacity": dataset.tree.branch_capacity,
-            "has_ls": dataset.forest is not None,
+            "has_ls": dataset.build_ls,
             "checkpoint_lsn": wal.last_lsn if wal is not None else None,
         }
         manifest.upsert_one(entry)

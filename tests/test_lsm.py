@@ -356,3 +356,53 @@ class TestUsingUnderLSM:
         for method in self.METHODS:
             result = executor.execute(f"{query} USING {method}")
             assert result.value == len(records), method
+
+
+class TestForestUnderLSM:
+    """No plan reaches the LS forest once an LSM is attached, so the
+    dataset drops it and no compaction rebuilds it."""
+
+    @staticmethod
+    def _forbid_forest_builds(monkeypatch):
+        from repro.core.sampling.ls_tree import LSTree
+
+        def refuse(self, items):
+            raise AssertionError("LS forest bulk-loaded under an LSM")
+        monkeypatch.setattr(LSTree, "bulk_load", refuse)
+
+    def test_open_drops_forest_and_sampler(self):
+        dataset = Dataset("forest", make_records(200, seed=81), dims=2,
+                          rs_buffer_size=16, seed=81)
+        assert dataset.forest is not None
+        assert "ls-tree" in dataset.samplers
+        build_state = dataset._build_rng.getstate()
+        LSMTree.open(dataset)
+        assert dataset.forest is None
+        assert "ls-tree" not in dataset.samplers
+        assert "ls-tree" not in dataset.optimizer.samplers
+        assert dataset.build_ls
+        # Dropping the forest draws nothing from the build stream.
+        assert dataset._build_rng.getstate() == build_state
+
+    def test_compaction_never_builds_forest(self, monkeypatch):
+        dataset = Dataset("forest", make_records(200, seed=82), dims=2,
+                          rs_buffer_size=16, seed=82)
+        lsm = LSMTree.open(dataset, memtable_limit=32,
+                           compact_after_runs=2)
+        self._forbid_forest_builds(monkeypatch)
+        for r in make_records(100, seed=83, start_id=10_000):
+            dataset.insert(r)
+        for rid in random.Random(84).sample(sorted(dataset.records), 20):
+            dataset.delete(rid)
+        assert lsm.compact() > 0
+        dataset.rebuild()
+        q = dataset.sampler_for(EVERYTHING).range_count(EVERYTHING)
+        assert q == len(dataset.records) == 280
+
+    def test_rebuild_without_lsm_keeps_forest(self):
+        dataset = Dataset("forest", make_records(200, seed=85), dims=2,
+                          rs_buffer_size=16, seed=85)
+        dataset.insert(make_records(1, seed=86, start_id=500)[0])
+        dataset.rebuild()
+        sampler = dataset.samplers["ls-tree"]
+        assert sampler.range_count(EVERYTHING) == 201

@@ -246,3 +246,31 @@ class TestCrashMatrix:
         drive(manager, shadow, seed=79)
         restart_and_check(dfs, shadow)
         restart_and_check(dfs, shadow)
+
+    def test_restart_never_builds_forest(self, monkeypatch):
+        """A restart over sealed runs and a WAL tail bulk-loads the
+        main tree only: the LS forest is dropped before that load."""
+        from repro.core.sampling.ls_tree import LSTree
+        dfs, manager, shadow = setup_stack(seed=80)
+        drive(manager, shadow, seed=80)
+        store = DocumentStore(dfs)
+        wal = WriteAheadLog(dfs, segment_bytes=SEGMENT_BYTES)
+        # No re-checkpoint, so the WAL tail survives for the memtable.
+        recover_store(store, wal, checkpoint=False)
+        dataset = Dataset("live",
+                          [Record.from_document(d)
+                           for d in store.collection("live").find()],
+                          dims=2, rs_buffer_size=16, seed=99)
+        assert dataset.forest is not None
+
+        def refuse(self, items):
+            raise AssertionError("LS forest bulk-loaded under an LSM")
+        monkeypatch.setattr(LSTree, "bulk_load", refuse)
+        lsm = LSMTree.open(dataset, dfs=dfs, wal=wal,
+                           memtable_limit=MEMTABLE_LIMIT,
+                           compact_after_runs=COMPACT_AFTER_RUNS)
+        assert lsm.runs and lsm.memtable.records
+        assert dataset.forest is None
+        assert "ls-tree" not in dataset.samplers
+        q = dataset.samplers["lsm-tiered"].range_count(EVERYTHING)
+        assert q == len(shadow)

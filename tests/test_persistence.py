@@ -52,6 +52,21 @@ class TestSaveLoadRoundTrip:
         assert again.dataset("beta").forest is None
         assert again.dataset("alpha").forest is not None
 
+    def test_ls_choice_survives_tiered_ingest(self):
+        """Tiered ingest drops the forest, not the dataset's choice to
+        build one: a reload without an LSM serves ``ls-tree`` again."""
+        from repro.storage.lsm import LSMTree
+        engine = build_engine()
+        alpha = engine.dataset("alpha")
+        LSMTree.open(alpha)
+        assert alpha.forest is None
+        store = DocumentStore()
+        save_engine(engine, store)
+        again = load_engine(store)
+        assert "ls-tree" in again.dataset("alpha").samplers
+        assert again.dataset("alpha").forest is not None
+        assert "ls-tree" not in again.dataset("beta").samplers
+
     def test_queries_agree_after_reload(self):
         engine = build_engine()
         store = DocumentStore()

@@ -2,6 +2,10 @@
 catalog)."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 rule)
 
 from repro.core.records import Record
 from repro.errors import SchemaError, StorageError
@@ -407,3 +411,83 @@ class TestJsonFidelity:
         back = again.collection("c").get(7)
         assert back["城市"] == "東京"
         assert back["coords"] == [float("inf"), float("-inf")]
+
+
+def fresh_jsonl(coll):
+    """What a flush of ``coll`` must write: every document encoded
+    anew, in insertion order."""
+    return b"".join(canonical_json(doc).encode() + b"\n"
+                    for doc in coll._docs.values())
+
+
+class CollectionLineCacheMachine(RuleBasedStateMachine):
+    """Interleaves every write path with flushes: the cached lines
+    never let a stale encoding into the payload."""
+
+    ids = st.integers(0, 6)
+    values = st.integers(0, 3)
+
+    def __init__(self):
+        super().__init__()
+        self.coll = Collection("c")
+
+    @rule(doc_id=ids, v=values)
+    def insert_one(self, doc_id, v):
+        if doc_id not in self.coll._docs:
+            self.coll.insert_one({"_id": doc_id, "v": v})
+
+    @rule(v=values)
+    def insert_auto_id(self, v):
+        self.coll.insert_one({"v": v, "auto": True})
+
+    @rule(doc_id=ids, v=values)
+    def upsert_one(self, doc_id, v):
+        self.coll.upsert_one({"_id": doc_id, "v": v, "up": True})
+
+    @rule(doc_id=ids, v=values)
+    def replace_one(self, doc_id, v):
+        if doc_id in self.coll._docs:
+            self.coll.replace_one(doc_id, {"v": v, "re": [v]})
+
+    @rule(doc_id=ids)
+    def delete_one(self, doc_id):
+        self.coll.delete_one(doc_id)
+
+    @rule(v=values)
+    def delete_many(self, v):
+        self.coll.delete_many({"v": v})
+
+    @rule()
+    def flush(self):
+        assert self.coll.to_jsonl() == fresh_jsonl(self.coll)
+
+    @invariant()
+    def lines_only_for_live_ids(self):
+        assert set(self.coll._lines) <= set(self.coll._docs)
+
+    def teardown(self):
+        assert self.coll.to_jsonl() == fresh_jsonl(self.coll)
+
+
+TestCollectionLineCache = CollectionLineCacheMachine.TestCase
+TestCollectionLineCache.settings = settings(max_examples=60,
+                                            stateful_step_count=30,
+                                            deadline=None)
+
+
+class TestLineCacheErrors:
+    def test_unserialisable_document_is_never_cached(self):
+        store = DocumentStore()
+        coll = store.collection("c")
+        coll.insert_one({"_id": 0, "v": 1})
+        coll.insert_one({"_id": 1, "v": {1, 2}})
+        coll.insert_one({"_id": 2, "v": 3})
+        for _ in range(2):
+            with pytest.raises(StorageError):
+                store.flush("c")
+            assert 1 not in coll._lines
+        coll.replace_one(1, {"v": 2})
+        store.flush("c")
+        assert store.dfs.read_file("store/c.jsonl") == (
+            b'{"_id": 0, "v": 1}\n{"_id": 1, "v": 2}\n'
+            b'{"_id": 2, "v": 3}\n')
