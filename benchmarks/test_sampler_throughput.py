@@ -37,7 +37,7 @@ def test_repeated_query_throughput(benchmark, osm_dataset, osm_query,
                                    method):
     """The dashboard workload: the *same* range queried over and over
     (pan back, refresh, re-estimate).  This is the case the canonical-set
-    cache and Fenwick source selection target — the per-stream setup cost
+    cache and batched source selection target — the per-stream setup cost
     (root walk, residual scan) amortises across repeats."""
     sampler = osm_dataset.samplers[method]
     seeds = iter(range(100_000))

@@ -25,16 +25,18 @@ Implementations, in the order the paper introduces them:
 ``RSTreeSampler``
     The paper's second index: a single Hilbert R-tree whose nodes carry
     pre-shuffled sample buffers, combined with lazy canonical-set
-    exploration and Fenwick-tree weighted node selection.
+    exploration and batched count-proportional node selection.
 
 ``TieredSampler``
     The LSM-era merge: one exactly-uniform stream over main tree +
     sealed runs + memtable, with tombstone masking and per-query
     snapshot pinning (see :mod:`repro.storage.lsm`).
 
-``repro.core.sampling.weighted`` holds the shared O(1)/O(log n)
-weighted-draw structures (:class:`AliasTable`, :class:`FenwickSampler`)
-the hot paths select sources with.
+``repro.core.sampling.union`` holds the one uniform without-replacement
+draw over a disjoint union of parts (:class:`UnionStream`) that the
+RS-tree, tiered and distributed samplers share;
+``repro.core.sampling.weighted`` holds the O(1) :class:`AliasTable` the
+with-replacement paths select sources with.
 """
 
 from repro.core.sampling.base import SamplerStats, SpatialSampler
@@ -45,11 +47,11 @@ from repro.core.sampling.random_path import RandomPathSampler
 from repro.core.sampling.rs_tree import RSTreeSampler
 from repro.core.sampling.sample_first import SampleFirstSampler
 from repro.core.sampling.tiered import LSMSnapshot, TieredSampler
-from repro.core.sampling.weighted import AliasTable, FenwickSampler
+from repro.core.sampling.union import UnionStream
+from repro.core.sampling.weighted import AliasTable
 
 __all__ = [
     "AliasTable",
-    "FenwickSampler",
     "LSMSnapshot",
     "LSTree",
     "LSTreeSampler",
@@ -60,5 +62,6 @@ __all__ = [
     "SamplerStats",
     "SpatialSampler",
     "TieredSampler",
+    "UnionStream",
     "streaming_shuffle",
 ]

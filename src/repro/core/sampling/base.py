@@ -120,18 +120,11 @@ class SpatialSampler(ABC):
     def draw_batch(self, stream: Iterator[Entry], k: int) -> list[Entry]:
         """Pull up to k entries from an open stream in one call.
 
-        The batched fast path sessions and estimators use.  Streams
-        that implement their own ``draw_batch`` (the RS-tree canonical
-        stream composes whole batches with one multivariate-
-        hypergeometric source allocation) get it called directly;
-        plain generators fall back to one C-level ``islice`` pull per
-        batch.  Returns fewer than k entries only at stream
+        The batched fast path sessions and estimators use (see
+        :func:`take`).  Returns fewer than k entries only at stream
         exhaustion.
         """
-        batched = getattr(stream, "draw_batch", None)
-        if batched is not None:
-            return batched(k)
-        return list(islice(stream, k))
+        return take(stream, k)
 
     def sample(self, query: Rect, k: int, rng: random.Random,
                cost: CostCounter | None = None) -> list[Entry]:
@@ -176,11 +169,7 @@ class _CountedStream:
         return entry
 
     def draw_batch(self, k: int) -> list[Entry]:
-        batched = getattr(self._stream, "draw_batch", None)
-        if batched is not None:
-            batch = batched(k)
-        else:
-            batch = list(islice(self._stream, k))
+        batch = take(self._stream, k)
         if batch:
             self._counter.inc(len(batch))
         return batch
@@ -192,10 +181,9 @@ class _CountedStream:
 
 
 def take(stream: Iterator[Entry], k: int) -> list[Entry]:
-    """First k elements of a stream (all of them when shorter)."""
-    out: list[Entry] = []
-    for entry in stream:
-        out.append(entry)
-        if len(out) >= k:
-            break
-    return out
+    """First k elements of a stream (all of them when shorter), in
+    one ``draw_batch`` call when the stream has one."""
+    batched = getattr(stream, "draw_batch", None)
+    if batched is not None:
+        return batched(k)
+    return list(islice(stream, k))

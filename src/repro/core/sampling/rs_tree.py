@@ -12,14 +12,15 @@ canonical set covers a node never descend into it.
 using per-node counts; subtrees below canonical nodes are not explored
 until their buffers run dry.
 
-**Weighted source selection** — picking the next source node with
-probability proportional to its remaining count is done by a Fenwick
-tree over the remaining counts (the paper describes A/R selection; the
-Fenwick draw is O(log |R_Q|) worst case, never wastes a coin flip, and
-stays exact as counts decrement), so large subtrees — the ones most
-likely to supply the next sample — are located without scanning all of
-``R_Q`` per sample.  With-replacement streams use a Walker alias table
-over the static counts instead: O(1) per draw.
+**Weighted source selection** — a query's stream is a
+:class:`~repro.core.sampling.union.UnionStream` over the canonical
+nodes plus one pool of residual points: each batch is split over the
+sources by one multivariate hypergeometric draw on their remaining
+counts, and permuted (DESIGN.md, "Uniform draws over a disjoint
+union"), so large subtrees — the ones most likely to supply the next
+sample — are found without scanning all of ``R_Q`` per sample.
+With-replacement streams use a Walker alias table over the static
+counts instead: O(1) per draw.
 
 Buffer maintenance is hierarchical: a leaf's buffer is a shuffle of its
 entries; an internal node's buffer is drawn by consuming its children's
@@ -40,7 +41,6 @@ cited there).
 from __future__ import annotations
 
 import random
-from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -49,7 +49,8 @@ from repro.core.geometry import Rect
 from repro.core.sampling.base import SpatialSampler
 from repro.core.sampling.permutation import (sample_without_replacement,
                                              streaming_shuffle)
-from repro.core.sampling.weighted import AliasTable, FenwickSampler
+from repro.core.sampling.union import PoolPart, UnionStream, permute, split
+from repro.core.sampling.weighted import AliasTable
 from repro.index.cost import CostCounter
 from repro.index.rtree import Entry, Node, RTree, _iter_subtree_entries
 
@@ -209,21 +210,17 @@ class RSTreeSampler(SpatialSampler):
         """
         children = node.children or []
         counts = [c.count for c in children]
-        take = min(s, sum(counts))
-        shares = np_rng.multivariate_hypergeometric(
-            counts, take, method="count")
         batch: list[Entry] = []
         seen: set[int] = set()
         touched: set[int] = set()
-        for child, share in zip(children, shares):
-            if not share:
-                continue
+        for i, share in split(np_rng, counts, min(s, sum(counts))):
+            child = children[i]
             touched.add(child.node_id)
-            need = int(share)
+            need = share
             # Redraw duplicates (a child buffer that wrapped mid-batch
             # repeats entries from its previous fill) until the child's
-            # full share is fresh — same acceptance law as the
-            # single-draw rejection loop.  The retry cap keeps
+            # full share is fresh — same acceptance law as a query
+            # stream's duplicate rejection.  The retry cap keeps
             # pathological children (tiny pools, heavy reuse) bounded;
             # any leftover lands in the shortfall scan below.
             for _ in range(8):
@@ -242,8 +239,7 @@ class RSTreeSampler(SpatialSampler):
                     break
         # Per-child fills above are grouped; shuffle back to an
         # exchangeable order before any shortfall entries append.
-        order = np_rng.permutation(len(batch))
-        batch = [batch[j] for j in order]
+        batch = permute(np_rng, batch)
         if len(batch) < s:
             pool = [e for e in _iter_subtree_entries(node)
                     if e.item_id not in seen]
@@ -309,54 +305,41 @@ class RSTreeSampler(SpatialSampler):
     # ------------------------------------------------------------------
 
     def sample_stream(self, query: Rect, rng: random.Random,
-                      cost: CostCounter | None = None) -> Iterator[Entry]:
+                      cost: CostCounter | None = None) -> UnionStream:
         cost = cost if cost is not None else self.tree.cost
         # The canonical set materialises lazily at the first draw — its
         # exploration cost lands inside the consumer's "sample_stream"
         # trace span, not at open time.
-        return _CanonStream(
-            self, lambda: self.tree.canonical_set(query, cost), rng, cost)
+        return UnionStream(
+            lambda: self._canon_parts(
+                self.tree.canonical_set(query, cost), rng, cost),
+            rng, cost)
 
     def sample_stream_from_canon(self, canon, rng: random.Random,
-                                 cost: CostCounter | None = None
-                                 ) -> Iterator[Entry]:
+                                 cost: CostCounter | None = None,
+                                 np_rng: np.random.Generator | None = None
+                                 ) -> UnionStream:
         """Stream from an already-materialised canonical set.
 
         Snapshot consumers (the LSM tiered sampler) pin the canonical
         set they opened with and keep drawing from it even after the
         main tree is atomically swapped by a compaction — the old node
         graph stays alive and immutable, so the pinned stream remains
-        exactly uniform over the snapshot's population.
+        exactly uniform over the snapshot's population.  ``np_rng``
+        is shared with an enclosing union (see :class:`UnionStream`).
         """
         cost = cost if cost is not None else self.tree.cost
-        return _CanonStream(self, canon, rng, cost)
+        return UnionStream(lambda: self._canon_parts(canon, rng, cost),
+                           rng, cost, np_rng=np_rng)
 
-    def _draw_checked(self, node: Node, i: int, counts: list[int],
-                      remaining: list[int], emitted: set[int],
-                      enum_pools: dict[int, Iterator[Entry]],
-                      rng: random.Random, cost: CostCounter
-                      ) -> Entry | None:
-        """Draw from a canonical node, skipping already-emitted points.
-
-        Returns ``None`` when the caller should re-select a source (the
-        node was switched to enumeration mode mid-draw).
-        """
-        streak = 0
-        while True:
-            consumed_fraction = 1.0 - remaining[i] / counts[i]
-            if consumed_fraction > self.enumerate_threshold \
-                    or streak >= _REJECT_STREAK_LIMIT:
-                pool = [e for e in _iter_subtree_entries(node)
-                        if e.item_id not in emitted]
-                self._charge_subtree_scan(node, cost)
-                cost.charge_entries(counts[i])
-                enum_pools[i] = streaming_shuffle(pool, rng)
-                return next(enum_pools[i])
-            entry = self._draw_from_subtree(node, cost)
-            if entry.item_id not in emitted:
-                return entry
-            cost.charge_rejection()
-            streak += 1
+    def _canon_parts(self, canon, rng: random.Random,
+                     cost: CostCounter) -> list:
+        """The union parts of one query: each canonical node, then
+        the residual points of partially overlapping leaves."""
+        parts: list = [_NodePart(self, node, rng, cost)
+                       for node in canon.nodes]
+        parts.append(PoolPart(canon.residual, rng))
+        return parts
 
     def sample_stream_with_replacement(
             self, query: Rect, rng: random.Random,
@@ -420,329 +403,127 @@ class RSTreeSampler(SpatialSampler):
         return total
 
 
-class _CanonStream:
-    """One query's without-replacement stream over a canonical set.
+class _NodePart:
+    """One canonical node's share of a query stream.
 
-    An explicit iterator object (rather than a generator) so batch
-    consumers can call :meth:`draw_batch`: a batch of b samples is
-    composed by splitting b over the disjoint sources with a
-    multivariate hypergeometric draw — the exact distribution of how b
-    uniform WOR draws from the union land across disjoint pools — then
-    drawing each source's share from its pre-shuffled buffers, and
-    finally shuffling the union so the returned sequence is
-    exchangeable.  Single draws (``next``) and batches interleave
-    freely because both mutate the same (remaining, Fenwick, emitted,
-    enum-pool) state.
-
-    Source ``0..len(nodes)-1`` are canonical nodes; the last source is
-    the residual pool from partially overlapping leaves.  For single
-    draws a Fenwick tree over the remaining counts selects the next
-    source with probability remaining/total in O(log #sources) — exact
-    at every step, with none of the wasted coin flips (or the
-    stale-maximum drift) of acceptance/rejection selection.
+    Draws are contiguous slices of the node's sample buffer.  Ids
+    already emitted are rejected, and once the node is mostly consumed
+    (or rejections keep coming) its unseen remainder is enumerated
+    into a :class:`PoolPart`.
     """
 
-    __slots__ = ("_sampler", "_canon", "_rng", "_cost", "_nodes",
-                 "_residual_pool", "_residual_pos", "_remaining",
-                 "_counts", "_total", "_fen", "_seen", "_pending",
-                 "_enum_pools", "_n_sources", "_np_rng", "_src_epoch",
-                 "_started")
+    __slots__ = ("_sampler", "_node", "_rng", "_cost", "_count",
+                 "remaining", "_seen", "_pending", "_epoch", "_enum")
 
-    def __init__(self, sampler: RSTreeSampler, canon,
+    def __init__(self, sampler: RSTreeSampler, node: Node,
                  rng: random.Random, cost: CostCounter):
         self._sampler = sampler
-        # Either the canonical set itself or a zero-arg thunk producing
-        # it (the lazy `sample_stream` path).
-        self._canon = canon
+        self._node = node
         self._rng = rng
         self._cost = cost
-        self._np_rng = None
-        self._started = False
+        self._count = self.remaining = node.count
+        # Emitted-id bookkeeping is lazy: same-fill slices append whole
+        # chunks to `_pending` in O(1), and `_seen_set` materialises
+        # the id set only when a membership test is needed (buffer
+        # wrap, enumeration switch).
+        self._seen: set[int] | None = None
+        self._pending: list | None = None
+        # Fill epoch of the node buffer this stream has consumed from,
+        # or -1 once it has spanned a refill.  While consumption stays
+        # within one fill, its slices are provably duplicate-free (a
+        # fill is WOR and positions only move forward), so draws skip
+        # the per-entry checks.
+        self._epoch: int | None = None
+        self._enum: PoolPart | None = None
 
-    def _start(self) -> None:
-        canon = self._canon
-        if callable(canon):
-            canon = self._canon = canon()
-        self._nodes = canon.nodes
-        # Residual entries shuffle lazily: `_next_residual` performs
-        # one partial Fisher-Yates step (exactly `streaming_shuffle`,
-        # with the state held here so batch draws can take vectorised
-        # steps over the same pool).
-        self._residual_pool = list(canon.residual)
-        self._residual_pos = 0
-        self._remaining = [n.count for n in self._nodes] \
-            + [len(canon.residual)]
-        self._counts = list(self._remaining)
-        self._total = sum(self._remaining)
-        # The Fenwick tree only serves single draws; batch draws track
-        # `_total`/`_remaining` directly and invalidate it, and the next
-        # `__next__` rebuilds it (O(#sources), rare in batch workloads).
-        self._fen = None
-        # Seen-id bookkeeping is per *source* (sources are disjoint, so
-        # an id can only repeat within the node it came from) and lazy:
-        # batch fast paths append whole chunks to `_pending` in O(1)
-        # and `_seen_for` materialises the actual id set only when a
-        # membership test is needed (buffer wrap, enum switch, single
-        # draws).  Residual and enum-pool draws are WOR by construction
-        # and need no tracking at all.
-        self._seen: dict[int, set[int]] = {}
-        self._pending: dict[int, list] = {}
-        self._enum_pools: dict[int, Iterator[Entry]] = {}
-        # source index -> fill epoch of the node buffer this stream has
-        # consumed from, or -1 once it has spanned a refill.  While a
-        # source's consumption stays within one fill, its slices are
-        # provably duplicate-free (a fill is WOR and positions only
-        # move forward), so batch draws skip the per-entry checks.
-        self._src_epoch: dict[int, int] = {}
-        self._n_sources = len(self._remaining)
-        self._started = True
-
-    def __iter__(self) -> _CanonStream:
-        return self
-
-    def close(self) -> None:
-        """Streams hold no resources; accepted for generator parity."""
-
-    def _next_residual(self) -> Entry:
-        """One lazy Fisher-Yates step over the residual pool."""
-        pool = self._residual_pool
-        i = self._residual_pos
-        j = self._rng.randrange(i, len(pool))
-        pool[i], pool[j] = pool[j], pool[i]
-        self._residual_pos = i + 1
-        return pool[i]
-
-    def _seen_for(self, i: int) -> set:
-        """Source i's materialised seen-id set (drains pending chunks)."""
-        seen = self._seen.get(i)
+    def _seen_set(self) -> set[int]:
+        """The materialised emitted-id set (drains pending chunks)."""
+        seen = self._seen
         if seen is None:
-            seen = self._seen[i] = set()
-        pending = self._pending.get(i)
-        if pending:
-            for chunk in pending:
+            seen = self._seen = set()
+        if self._pending:
+            for chunk in self._pending:
                 for e in chunk:
                     seen.add(e.item_id)
-            pending.clear()
+            self._pending.clear()
         return seen
 
-    def __next__(self) -> Entry:
-        if not self._started:
-            self._start()
+    def draw(self, m: int) -> list[Entry]:
+        if self._enum is not None:
+            self.remaining -= m
+            return self._enum.draw(m)
         sampler = self._sampler
-        fen = self._fen
-        if fen is None:
-            # First single draw (or first after a batch): rebuild the
-            # source-selection Fenwick from the live remaining counts.
-            fen = self._fen = FenwickSampler(self._remaining)
-        rng = self._rng
+        node = self._node
         cost = self._cost
-        remaining = self._remaining
-        enum_pools = self._enum_pools
-        residual_source = self._n_sources - 1
-        while fen.total > 0:
-            i = fen.sample(rng)
-            # --- draw one entry from the chosen source ----------------
-            if i == residual_source:
-                entry = self._next_residual()
-            elif i in enum_pools:
-                entry = next(enum_pools[i])
-            else:
-                node = self._nodes[i]
-                seen = self._seen_for(i)
-                entry = sampler._draw_checked(
-                    node, i, self._counts, remaining,
-                    seen, enum_pools, rng, cost)
-                if entry is None:
-                    continue
-                seen.add(entry.item_id)
-                # Epoch bookkeeping (see `_src_epoch`): the entry came
-                # from the node's *current* fill.
-                ep = node.fill_epoch
-                prev = self._src_epoch.get(i)
-                if prev is None:
-                    self._src_epoch[i] = ep
-                elif prev != ep:
-                    self._src_epoch[i] = -1
-            remaining[i] -= 1
-            fen.add(i, -1)
-            self._total -= 1
-            cost.charge_sample()
-            return entry
-        raise StopIteration
-
-    # ------------------------------------------------------------------
-    # batched draws
-    # ------------------------------------------------------------------
-
-    def draw_batch(self, k: int) -> list[Entry]:
-        """Up to k further samples in one call (fewer at exhaustion).
-
-        Equivalent in distribution to k consecutive ``next`` calls, but
-        with one source-allocation draw per batch instead of one
-        Fenwick descent per sample, and contiguous buffer slices per
-        source instead of per-sample buffer pointer chasing.
-        """
-        if k <= 0:
-            return []
-        if not self._started:
-            self._start()
-        if self._total <= 0:
-            return []
-        b = min(k, self._total)
-        out: list[Entry] = []
-        # Hot loop: the per-source draw bodies are inlined (rather than
-        # one helper call per source) because a batch typically touches
-        # most canonical sources with a handful of draws each — at ~70
-        # sources per batch the call/setup overhead would dominate.
-        sampler = self._sampler
-        cost = self._cost
-        remaining = self._remaining
-        counts = self._counts
-        nodes = self._nodes
-        enum_pools = self._enum_pools
         threshold = sampler.enumerate_threshold
-        residual_source = self._n_sources - 1
-        fill = sampler._fill_buffer
-        pending = self._pending
-        src_epoch = self._src_epoch
-        for i, share in self._allocate(b):
-            if i == residual_source:
-                # `share` partial Fisher-Yates steps over the residual
-                # pool in one pass; larger shares pre-draw the uniforms
-                # (one RNG call for the whole share instead of `share`
-                # python randrange calls) but perform the identical
-                # swap walk.
-                pool = self._residual_pool
-                n = len(pool)
-                pos = self._residual_pos
-                if share >= 8:
-                    us = self._np_rng.random(share).tolist()
-                    for x in range(share):
-                        j = pos + int(us[x] * (n - pos))
-                        pool[pos], pool[j] = pool[j], pool[pos]
-                        out.append(pool[pos])
-                        pos += 1
-                    self._residual_pos = pos
-                else:
-                    for _ in range(share):
-                        out.append(self._next_residual())
-                remaining[i] -= share
-                continue
-            pool = enum_pools.get(i)
-            if pool is None:
-                node = nodes[i]
-                count = counts[i]
-                streak = 0
-                rem = remaining[i]
-                while share > 0:
-                    if 1.0 - rem / count > threshold \
-                            or streak >= _REJECT_STREAK_LIMIT:
-                        remaining[i] = rem
-                        pool = self._switch_to_enum(i)
-                        break
-                    # Consume the buffer as one contiguous slice and
-                    # filter already-emitted entries in bulk — each
-                    # buffered draw is accepted or rejected exactly as
-                    # in the per-sample loop, minus the per-draw call
-                    # overhead.  (The freshness check is inlined:
-                    # `_ensure_buffer` is one call per source per batch
-                    # otherwise.)
-                    buf = node.sample_buffer
-                    if buf is None or node.buffer_pos >= len(buf):
-                        fill(node, cost)
-                        buf = node.sample_buffer
-                    if not buf:
-                        entry = sampler._draw_from_subtree(node, cost)
-                        if entry.item_id in self._seen_for(i):
-                            cost.charge_rejection()
-                            streak += 1
-                            continue
-                        chunk = (entry,)
-                    else:
-                        bpos = node.buffer_pos
-                        take = min(share, len(buf) - bpos)
-                        chunk = buf[bpos:bpos + take]
-                        node.buffer_pos = bpos + take
-                        # Same-fill slices are provably duplicate-free
-                        # (see `_src_epoch`): record the chunk for lazy
-                        # seen-set materialisation and move on without
-                        # per-entry membership tests.
-                        ep = node.fill_epoch
-                        prev = src_epoch.get(i)
-                        if prev is None or prev == ep:
-                            src_epoch[i] = ep
-                            chunks = pending.get(i)
-                            if chunks is None:
-                                chunks = pending[i] = []
-                            chunks.append(chunk)
-                            out += chunk
-                            streak = 0
-                            rem -= take
-                            share -= take
-                            continue
-                        src_epoch[i] = -1
-                    seen = self._seen_for(i)
-                    got = 0
-                    for e in chunk:
-                        eid = e.item_id
-                        if eid not in seen:
-                            seen.add(eid)
-                            out.append(e)
-                            got += 1
-                    rejected = len(chunk) - got
-                    if rejected:
-                        cost.charge_rejection(rejected)
-                        streak += rejected
-                    else:
-                        streak = 0
-                    rem -= got
-                    share -= got
-                else:
-                    remaining[i] = rem
+        count = self._count
+        rem = self.remaining
+        out: list[Entry] = []
+        streak = 0
+        while m > 0:
+            if 1.0 - rem / count > threshold \
+                    or streak >= _REJECT_STREAK_LIMIT:
+                self.remaining = rem - m
+                return out + self._switch_to_enum().draw(m)
+            # Consume the buffer as one contiguous slice and filter
+            # already-emitted entries in bulk — each buffered draw is
+            # accepted or rejected exactly as one at a time.
+            buf = node.sample_buffer
+            if buf is None or node.buffer_pos >= len(buf):
+                sampler._fill_buffer(node, cost)
+                buf = node.sample_buffer
+            if not buf:
+                entry = sampler._draw_from_subtree(node, cost)
+                if entry.item_id in self._seen_set():
+                    cost.charge_rejection()
+                    streak += 1
                     continue
-            for entry in islice(pool, share):
-                remaining[i] -= 1
-                out.append(entry)
-        self._total -= len(out)
-        # Batch draws bypass the Fenwick tree entirely; drop it so the
-        # next single draw rebuilds from the updated remaining counts.
-        self._fen = None
-        # The per-source fills above come out grouped by source; a
-        # final shuffle restores exchangeability so the batch is a
-        # uniformly ordered WOR sample sequence.
-        order = self._np_rng.permutation(len(out)).tolist()
-        out = [out[j] for j in order]
-        self._cost.charge_sample(len(out))
+                chunk = (entry,)
+            else:
+                bpos = node.buffer_pos
+                take = min(m, len(buf) - bpos)
+                chunk = buf[bpos:bpos + take]
+                node.buffer_pos = bpos + take
+                ep = node.fill_epoch
+                if self._epoch is None or self._epoch == ep:
+                    # Same-fill slice: duplicate-free (see `_epoch`).
+                    self._epoch = ep
+                    if self._pending is None:
+                        self._pending = []
+                    self._pending.append(chunk)
+                    out += chunk
+                    streak = 0
+                    rem -= take
+                    m -= take
+                    continue
+                self._epoch = -1
+            seen = self._seen_set()
+            got = 0
+            for e in chunk:
+                eid = e.item_id
+                if eid not in seen:
+                    seen.add(eid)
+                    out.append(e)
+                    got += 1
+            rejected = len(chunk) - got
+            if rejected:
+                cost.charge_rejection(rejected)
+                streak += rejected
+            else:
+                streak = 0
+            rem -= got
+            m -= got
+        self.remaining = rem
         return out
 
-    def _allocate(self, b: int) -> list[tuple[int, int]]:
-        """Split a batch of b over sources.
-
-        The joint distribution of per-source draw counts under b
-        uniform WOR draws from the union of disjoint pools is
-        multivariate hypergeometric over the remaining counts; numpy
-        samples it directly.
-        """
-        if self._np_rng is None:
-            # Seeded from the stream rng, created only when the first
-            # batch is requested, so single-draw streams consume the
-            # stream rng exactly as before.
-            self._np_rng = np.random.default_rng(self._rng.getrandbits(64))
-        shares = self._np_rng.multivariate_hypergeometric(
-            self._remaining, b, method="count")
-        nz = np.flatnonzero(shares)
-        return list(zip(nz.tolist(), shares[nz].tolist()))
-
-    def _switch_to_enum(self, i: int) -> Iterator[Entry]:
-        """Enumerate source i's unseen remainder (same charges as the
-        single-draw enumeration fallback in ``_draw_checked``)."""
+    def _switch_to_enum(self) -> PoolPart:
+        """Enumerate the node's unseen remainder into a pool."""
         sampler = self._sampler
-        node = self._nodes[i]
-        seen = self._seen_for(i)
+        node = self._node
+        seen = self._seen_set()
         pool = [e for e in _iter_subtree_entries(node)
                 if e.item_id not in seen]
         sampler._charge_subtree_scan(node, self._cost)
-        self._cost.charge_entries(self._counts[i])
-        it = streaming_shuffle(pool, self._rng)
-        self._enum_pools[i] = it
-        return it
+        self._cost.charge_entries(self._count)
+        self._enum = PoolPart(pool, self._rng)
+        return self._enum

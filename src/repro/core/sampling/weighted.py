@@ -1,29 +1,18 @@
-"""O(1)/O(log n) weighted source selection for the sampling hot loops.
+"""O(1) weighted source selection for the with-replacement paths.
 
-Every sampler in this package repeatedly answers the same question: *given
-sources with weights w_0..w_{n-1}, pick source i with probability
-w_i / Σw*.  The naive answer — draw ``randrange(total)`` and scan the
-cumulative sums — is O(n) per draw and shows up directly in sampler
-throughput once canonical sets or clusters have many sources.  This
-module provides the two classic constant/logarithmic structures:
+Every with-replacement sampler repeatedly answers the same question:
+*given sources with fixed weights w_0..w_{n-1}, pick source i with
+probability w_i / Σw*.  The naive answer — draw ``randrange(total)``
+and scan the cumulative sums — is O(n) per draw and shows up directly
+in sampler throughput once canonical sets or clusters have many
+sources.  :class:`AliasTable` is Walker's alias method for *static*
+weights: O(n) build, O(1) per draw (one ``randrange`` + one ``random``
++ two table lookups).
 
-:class:`AliasTable`
-    Walker's alias method for *static* weights: O(n) build, O(1) per
-    draw (one ``randrange`` + one ``random`` + two table lookups).  The
-    with-replacement paths use it — weights never change between draws.
-
-:class:`FenwickSampler`
-    A Fenwick (binary indexed) tree over *decrementing* integer
-    weights: O(n) build, O(log n) per draw and per update.  The
-    without-replacement paths use it — each emitted sample decrements
-    its source's remaining count, and the next draw must see the new
-    distribution exactly.  Unlike acceptance/rejection selection it
-    never wastes a coin flip and never works from a stale maximum.
-
-Both structures draw with ``rng.randrange`` over integer totals where
-possible, so their outputs are exactly (not approximately) the discrete
-distribution the weights describe — the chi-square uniformity tests in
-``tests/test_weighted.py`` hold them to that.
+Without-replacement paths split whole batches over their sources
+instead (:mod:`repro.core.sampling.union`).  The chi-square tests in
+``tests/test_weighted.py`` hold the table to the exact distribution
+its weights describe.
 """
 
 from __future__ import annotations
@@ -33,7 +22,7 @@ from typing import Sequence
 
 from repro.errors import StormError
 
-__all__ = ["AliasTable", "FenwickSampler"]
+__all__ = ["AliasTable"]
 
 
 class AliasTable:
@@ -87,73 +76,3 @@ class AliasTable:
         if rng.random() < self._prob[i]:
             return i
         return self._alias[i]
-
-
-class FenwickSampler:
-    """Fenwick tree over non-negative integer weights with O(log n) draws.
-
-    Supports the decrement-heavy access pattern of without-replacement
-    sampling: ``sample`` picks index i with probability w_i / total,
-    and ``add(i, -1)`` retires one unit of that source's weight before
-    the next draw.
-    """
-
-    __slots__ = ("_n", "_tree", "_weights", "total")
-
-    def __init__(self, weights: Sequence[int]):
-        n = len(weights)
-        self._n = n
-        self._weights = [int(w) for w in weights]
-        self.total = 0
-        tree = [0] * (n + 1)
-        # O(n) build: place each weight, then push partial sums up.
-        for i, w in enumerate(self._weights):
-            if w < 0:
-                raise StormError(f"negative weight {w}")
-            self.total += w
-            tree[i + 1] += w
-            parent = (i + 1) + ((i + 1) & -(i + 1))
-            if parent <= n:
-                tree[parent] += tree[i + 1]
-        self._tree = tree
-
-    def __len__(self) -> int:
-        return self._n
-
-    def get(self, i: int) -> int:
-        """Current weight of source i."""
-        return self._weights[i]
-
-    def add(self, i: int, delta: int) -> None:
-        """Adjust source i's weight by delta (result must stay >= 0)."""
-        if self._weights[i] + delta < 0:
-            raise StormError(
-                f"weight of source {i} would go negative")
-        self._weights[i] += delta
-        self.total += delta
-        j = i + 1
-        while j <= self._n:
-            self._tree[j] += delta
-            j += j & -j
-
-    def find(self, target: int) -> int:
-        """Smallest index i with prefix_sum(0..i) > target.
-
-        ``target`` must lie in ``[0, total)``; zero-weight sources are
-        skipped by construction.
-        """
-        idx = 0
-        bit = 1 << (self._n.bit_length())
-        while bit:
-            nxt = idx + bit
-            if nxt <= self._n and self._tree[nxt] <= target:
-                idx = nxt
-                target -= self._tree[nxt]
-            bit >>= 1
-        return idx
-
-    def sample(self, rng: random.Random) -> int:
-        """One draw: index i with probability w_i / total (total > 0)."""
-        if self.total <= 0:
-            raise StormError("cannot sample from an empty distribution")
-        return self.find(rng.randrange(self.total))

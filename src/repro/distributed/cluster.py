@@ -20,6 +20,7 @@ from typing import Iterable
 
 from repro.core.geometry import Rect
 from repro.core.records import Record
+from repro.core.sampling.base import take
 from repro.core.sampling.rs_tree import RSTreeSampler
 from repro.errors import (ClusterError, NetworkTimeoutError,
                           StreamLostError, WorkerUnavailableError)
@@ -366,11 +367,7 @@ class Worker:
         if stream is None:
             raise StreamLostError(f"no stream {handle} on worker "
                                   f"{self.worker_id}")
-        out = []
-        for entry in stream:  # type: ignore[union-attr]
-            out.append(entry)
-            if len(out) >= n:
-                break
+        out = take(stream, n)
         trace_id = self._stream_traces.get(handle)
         if trace_id is not None:
             tally = self.trace_tallies.get(trace_id)

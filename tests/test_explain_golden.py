@@ -106,20 +106,20 @@ GOLDEN = {'distributed': ['method fixed at build time: distributed-rs',
                           'seq=0) scanned=0 samples=0\n'
                           '  sample_stream    0.000000s  reads=0 (random=0, '
                           'seq=0) scanned=0 samples=0\n'
-                          '  dist_fanout      0.072432s  reads=37 (random=7, '
-                          'seq=30) scanned=1620 samples=160\n'
-                          '  total            0.072432s\n'
+                          '  dist_fanout      0.062432s  reads=36 (random=6, '
+                          'seq=30) scanned=1560 samples=160\n'
+                          '  total            0.062432s\n'
                           'workers (trace *):\n'
-                          '  0  draws=33 batches=2 retries=0 failovers=0 '
+                          '  0  draws=24 batches=1 retries=0 failovers=0 '
+                          'bytes=3904\n'
+                          '  1  draws=31 batches=1 retries=0 failovers=0 '
+                          'bytes=3904\n'
+                          '  2  draws=41 batches=2 retries=0 failovers=0 '
                           'bytes=11648\n'
-                          '  1  draws=32 batches=1 retries=0 failovers=0 '
-                          'bytes=3904\n'
-                          '  2  draws=31 batches=1 retries=0 failovers=0 '
-                          'bytes=3904\n'
                           'stop: sample budget reached (k=96 of q=561, '
                           '17.11% of range)\n'
-                          'estimate: value=9.91400245094323 ci=[9.5715, '
-                          '10.2565]@95%'],
+                          'estimate: value=10.379141442599646 ci=[10.028, '
+                          '10.7303]@95%'],
           'lsm': ['method fixed by tiered ingest: lsm-tiered (per-tree '
                   'samplers only see the main tier)',
                   'plan:\n'
@@ -274,8 +274,8 @@ GOLDEN = {'distributed': ['method fixed at build time: distributed-rs',
                             '  vectorized filter hits  556\n'
                             'stop: sample budget reached (k=64 of q=404, '
                             '15.84% of range)\n'
-                            'estimate: value=1364.1397709565067 ci=[1250.62, '
-                            '1477.66]@95%'],
+                            'estimate: value=1385.7380901620998 ci=[1264.26, '
+                            '1507.21]@95%'],
           'using-sample-first': ['selectivity: q=404, assumed k=64\n'
                                  '  query-first   ~0.09734s <-- chosen\n'
                                  '  rs-tree       ~0.1068s\n'

@@ -19,9 +19,11 @@ import pytest
 from scipy import stats
 
 from repro.core.engine import Dataset
+from repro.core.estimators.aggregates import CountEstimator
 from repro.core.geometry import Rect
 from repro.core.records import Record
 from repro.core.sampling.base import take
+from repro.core.session import StopCondition
 from repro.storage.lsm import LSMTree, Memtable, SealedRun
 from repro.errors import StorageError, StormError
 
@@ -258,6 +260,24 @@ class TestSnapshotIsolation:
             sampler.range_count(rect)
             take(sampler.sample_stream(rect, random.Random(18 + i)), 4)
         assert dataset.tree.canon_hits - hits0 >= 10
+
+    def test_empty_query_pins_no_snapshot(self):
+        """A query with q = 0 opens no stream, so a snapshot pinned by
+        its count would be served, stale, to a later stream."""
+        dataset, _ = tiered_dataset(seed=56)
+        rect = Rect((50.0, 50.0), (50.01, 50.01))
+        assert not live_in_range(dataset, rect)
+        session = dataset.session(rect, CountEstimator(),
+                                  rng=random.Random(19))
+        point = session.run_to_stop(StopCondition())
+        assert point.reason == "empty range"
+        for i in range(20):
+            dataset.insert(Record(record_id=80_000 + i, lon=50.005,
+                                  lat=50.005, attrs={}))
+        sampler = dataset.sampler_for(rect)
+        got = sampler.sample(rect, 5, random.Random(20))
+        assert len(got) == 5
+        assert {e.item_id for e in got} <= set(range(80_000, 80_020))
 
 
 class TestTierMechanics:

@@ -1,12 +1,9 @@
-"""Tests for the shared weighted-draw structures (alias + Fenwick).
+"""Tests for the with-replacement weighted-draw structure (alias table).
 
-The sampling hot paths replaced their linear cumulative scans and
-acceptance/rejection loops with :class:`AliasTable` (static weights,
-with-replacement paths) and :class:`FenwickSampler` (decrementing
-weights, without-replacement paths).  Both must produce *exactly* the
-discrete distribution their weights describe — chi-square tests below
-hold them to it — and the Fenwick tree must stay exact while weights
-decrement mid-stream.
+:class:`AliasTable` must produce *exactly* the discrete distribution its
+weights describe — chi-square tests below hold it to that.  The
+without-replacement union draw has its own tests in
+``tests/test_union.py``.
 
 Seeds are fixed; thresholds use the 0.001 quantile.
 """
@@ -16,7 +13,7 @@ import random
 import pytest
 from scipy import stats
 
-from repro.core.sampling import AliasTable, FenwickSampler
+from repro.core.sampling import AliasTable
 from repro.errors import StormError
 
 
@@ -71,102 +68,4 @@ class TestAliasTable:
             counts[table.sample(rng)] += 1
         p = chi_square_pvalue(counts,
                               [draws * w / total for w in weights])
-        assert p > 1e-3
-
-
-class TestFenwickSampler:
-    def test_rejects_negative_weight(self):
-        with pytest.raises(StormError):
-            FenwickSampler([1, -1])
-
-    def test_empty_distribution(self):
-        fen = FenwickSampler([])
-        assert fen.total == 0
-        with pytest.raises(StormError):
-            fen.sample(random.Random(0))
-
-    def test_build_and_get(self):
-        fen = FenwickSampler([3, 0, 5, 2])
-        assert fen.total == 10
-        assert [fen.get(i) for i in range(4)] == [3, 0, 5, 2]
-
-    def test_find_boundaries(self):
-        fen = FenwickSampler([3, 0, 5, 2])
-        # prefix sums: 3, 3, 8, 10 — find = smallest i with prefix > t.
-        assert fen.find(0) == 0
-        assert fen.find(2) == 0
-        assert fen.find(3) == 2  # zero-weight source 1 skipped
-        assert fen.find(7) == 2
-        assert fen.find(8) == 3
-        assert fen.find(9) == 3
-
-    def test_add_and_guard(self):
-        fen = FenwickSampler([2, 2])
-        fen.add(0, -2)
-        assert fen.total == 2
-        assert fen.get(0) == 0
-        with pytest.raises(StormError):
-            fen.add(0, -1)
-        rng = random.Random(5)
-        assert all(fen.sample(rng) == 1 for _ in range(50))
-
-    def test_static_weights_chi_square(self):
-        weights = [5, 1, 9, 3, 7, 2]
-        total = sum(weights)
-        draws = 60_000
-        fen = FenwickSampler(weights)
-        rng = random.Random(6)
-        counts = [0] * len(weights)
-        for _ in range(draws):
-            counts[fen.sample(rng)] += 1
-        p = chi_square_pvalue(counts,
-                              [draws * w / total for w in weights])
-        assert p > 1e-3
-
-    def test_without_replacement_first_draw_uniform(self):
-        """Decrement-as-you-go: over many full passes, the *first*
-        unit drawn is uniform over all units (the exact property the
-        RS-tree's source selection relies on)."""
-        weights = [4, 2, 6]
-        total = sum(weights)
-        trials = 30_000
-        counts = [0] * len(weights)
-        for trial in range(trials):
-            rng = random.Random(7_000_003 + trial)
-            fen = FenwickSampler(weights)
-            counts[fen.sample(rng)] += 1
-        p = chi_square_pvalue(counts,
-                              [trials * w / total for w in weights])
-        assert p > 1e-3
-
-    def test_full_depletion_emits_exact_multiset(self):
-        """Draw-and-decrement until empty yields each source exactly
-        its weight many times, in every run."""
-        weights = [3, 0, 2, 5]
-        rng = random.Random(8)
-        fen = FenwickSampler(weights)
-        tally = [0] * len(weights)
-        while fen.total > 0:
-            i = fen.sample(rng)
-            fen.add(i, -1)
-            tally[i] += 1
-        assert tally == weights
-
-    def test_depletion_order_uniform(self):
-        """The full consumption order of unit-weight sources is a
-        uniform permutation: each source is equally likely in each
-        position (chi-square on position of source 0)."""
-        n, trials = 6, 24_000
-        position_counts = [0] * n
-        for trial in range(trials):
-            rng = random.Random(9_000_017 + trial)
-            fen = FenwickSampler([1] * n)
-            pos = 0
-            while fen.total > 0:
-                i = fen.sample(rng)
-                fen.add(i, -1)
-                if i == 0:
-                    position_counts[pos] += 1
-                pos += 1
-        p = chi_square_pvalue(position_counts, [trials / n] * n)
         assert p > 1e-3
