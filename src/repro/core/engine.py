@@ -466,7 +466,12 @@ class StormEngine:
         session = ds.session(query, estimator, method=method,
                              rng=rng if rng is not None else
                              random.Random(self._rng.getrandbits(32)))
-        return session.run_to_stop(stop)
+        try:
+            return session.run_to_stop(stop)
+        finally:
+            # A stop before exhaustion leaves the stream open; the
+            # distributed fan-out holds worker streams until it closes.
+            session.close()
 
     def avg(self, dataset: str, attribute: str, query,
             stop: StopCondition = StopCondition(max_samples=1000),

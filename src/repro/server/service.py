@@ -430,6 +430,7 @@ class QueryService:
             try:
                 yield from session.run(stop)
             finally:
+                session.close()
                 self._durations.append(time.perf_counter() - started)
                 registry = self.obs.registry
                 if registry.enabled:

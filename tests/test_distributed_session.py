@@ -110,6 +110,47 @@ class TestDistributedDataset:
         assert final.estimate.value == pytest.approx(truth(), rel=0.1)
 
 
+class TestEarlyStopReleasesWorkerStreams:
+    """A session stopped before exhaustion must still close its
+    per-worker streams and end the ``dist_fanout`` span."""
+
+    @staticmethod
+    def open_streams(dd):
+        return sum(w.open_stream_count() for w in dd.cluster.workers)
+
+    def test_engine_one_call_helper(self):
+        from repro.core.engine import StormEngine
+        from repro.core.session import StopCondition
+        from repro.distributed.dataset import DistributedDataset
+        from repro.obs import Observability
+        obs = Observability()
+        engine = StormEngine(seed=10)
+        dd = DistributedDataset("cluster_pts", RECORDS, n_workers=4,
+                                seed=11, obs=obs)
+        engine.register(dd)
+        point = engine.avg("cluster_pts", "v", QUERY,
+                           stop=StopCondition(max_samples=50),
+                           rng=random.Random(12))
+        assert point.k < point.estimate.q
+        assert self.open_streams(dd) == 0
+        fanout = obs.tracer.last_root.find("dist_fanout")
+        assert fanout is not None and fanout.closed
+        assert dd.sampler.last_query_seconds() > 0
+
+    def test_dropped_session(self):
+        import gc
+        from repro.core.session import StopCondition
+        from repro.distributed.dataset import DistributedDataset
+        dd = DistributedDataset("dd4", RECORDS, n_workers=4, seed=16)
+        session = dd.session(QUERY, AvgEstimator(attribute_getter("v")),
+                             rng=random.Random(17))
+        session.run_to_stop(StopCondition(max_samples=50))
+        assert self.open_streams(dd) > 0
+        del session
+        gc.collect()
+        assert self.open_streams(dd) == 0
+
+
 class TestEngineExecuteConvenience:
     def test_execute_on_engine(self):
         from repro.core.engine import StormEngine

@@ -256,6 +256,18 @@ class TestDistributedService:
         assert doc["result"]["frame"] == "end", doc["result"]
         assert doc["result"]["k"] >= 300
 
+    def test_stopped_query_closes_worker_streams(self):
+        engine = self._engine()
+        svc = QueryService(engine, ServerConfig(quantum=32))
+        try:
+            doc = svc.run_query("t", {"query": self.OSM_Q, "seed": 3},
+                                timeout=60)
+        finally:
+            svc.shutdown()
+        assert doc["result"]["reason"] == "sample budget reached"
+        workers = engine.dataset("osm").cluster.workers
+        assert sum(w.open_stream_count() for w in workers) == 0
+
     def test_stream_matches_solo_session(self):
         from repro.query.executor import QueryExecutor
         from repro.server.protocol import progress_frame, terminal_frame
