@@ -283,7 +283,8 @@ class Dataset:
         only make every compaction rebuild it.  The optimizer is
         rebuilt over the remaining samplers so it holds no reference
         either.  The forest drew its levels from its own ``Random``,
-        so ``_build_rng`` is untouched.
+        so ``_build_rng`` is untouched: nothing draws from it after
+        construction.
         """
         if self.forest is None:
             return

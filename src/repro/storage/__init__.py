@@ -26,7 +26,7 @@ simulation:
     committed-but-unflushed batches, report a ``RecoveryReport``.
 ``lsm``
     The tiered ingest path: WAL-backed memtable, sealed immutable
-    runs (mini RS-trees, committed by temp-write + rename) and
+    runs (flat column blocks, committed by temp-write + rename) and
     compaction into the main tree, with snapshot-pinned sampling.
 """
 

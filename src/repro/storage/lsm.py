@@ -9,16 +9,15 @@ This module layers a tiered, log-structured index on top of the PR 5
 durability stack, adapting the hybrid tiered design of "A hybrid index
 model for efficient spatio-temporal search in HBase" to sampling:
 
-**Memtable** — new records land in a small in-memory buffer kept in
-Hilbert-key order.  No tree mutation, no version bump: an insert is a
-dict put plus a sorted-list insertion.
+**Memtable** — new records land in a small in-memory dict.  No tree
+mutation, no version bump: an insert is one dict put.
 
-**Sealed runs** — a full memtable is *sealed* into an immutable run:
-its records are bulk-loaded into a mini RS-tree (so the run is itself
-a sampling-ready index) and flushed to the DFS with the temp-write +
-``rename_file`` commit primitive.  A ``MANIFEST.json`` (also committed
-by rename) names the live runs, the persisted tombstones and the WAL
-LSN from which replay must resume.
+**Sealed runs** — a full memtable is *sealed* into an immutable run
+and flushed to the DFS with the temp-write + ``rename_file`` commit
+primitive.  A run is flat, like the memtable: a query scans it with
+one vectorised pass over a packed column block.  A ``MANIFEST.json``
+(also committed by rename) names the live runs, the persisted
+tombstones and the WAL LSN from which replay must resume.
 
 **Compaction** — sealed runs and tombstones fold into the main tree in
 one atomic swap (a single bulk load = one version bump for thousands
@@ -27,19 +26,19 @@ the only index rebuilt), the manifest empties, and — via the update
 manager's checkpoint — covered WAL segments are pruned.
 
 **Snapshots** — a sample stream pins the tiers it opened with: the
-main tree's canonical set, the list of sealed runs, a frozen copy of
-the memtable's in-range records and the tombstone map
+main tree's canonical set with its tombstone mask, and one list of the
+live in-range entries of the memtable and every sealed run
 (:class:`~repro.core.sampling.tiered.TieredSampler` builds these).
-Because sealed runs are immutable and a compaction *replaces* the main
-tree's node graph rather than mutating it, pinned snapshots survive
-both sealing and compaction: concurrent ingest never invalidates an
-in-flight stream, and the canonical-set cache stays hot between
-compactions.
+Because a compaction *replaces* the main tree's node graph rather than
+mutating it, pinned snapshots survive both sealing and compaction:
+concurrent ingest never invalidates an in-flight stream, and the
+canonical-set cache stays hot between compactions.
 
 Deletes are routed by residence tier: a memtable-resident record is
 removed in place; a run- or main-resident record gets a *tombstone*
-tagged with the tier that holds the dead copy.  Samplers filter drawn
-entries against the tombstones of their own tier, which keeps the
+tagged with the tier that holds the dead copy.  A snapshot leaves
+masked run copies out of its flat list, and the main-tier stream
+filters drawn entries against the main tombstones, which keeps the
 merged stream exactly uniform over the live set (rejecting a fixed
 subset of a uniform without-replacement stream is itself uniform
 without replacement over the remainder).
@@ -56,11 +55,10 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Iterable
 
-from repro.core.blocks import RecordBlock, is_block_payload
+from repro.core.blocks import ColumnBlock, RecordBlock, is_block_payload
 from repro.core.records import Record
-from repro.core.sampling.rs_tree import RSTreeSampler
 from repro.errors import StorageError
-from repro.index.hilbert_rtree import HilbertRTree
+from repro.index.rtree import Entry
 from repro.storage.json_codec import canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -76,9 +74,6 @@ LSM_PREFIX = "lsm/"
 
 #: Tombstone victim tag for the main tree (runs use their integer id).
 MAIN_TIER = "main"
-
-#: RS-buffer size of each sealed run's mini-tree sampler.
-RUN_BUFFER_SIZE = 32
 
 
 class Memtable:
@@ -123,68 +118,45 @@ class Memtable:
 
 
 class SealedRun:
-    """An immutable sealed memtable: a sampling-ready mini RS-tree.
+    """An immutable sealed memtable, scanned flat like the memtable.
 
     Runs never change after sealing; a tombstone tagged with this
     run's id masks a dead copy inside it until compaction retires the
     whole run.
 
-    The mini tree and its sampler materialise on first query, not at
-    seal time.  Sealing is on the ingest hot path and many runs are
-    compacted before any query touches them — those never pay for an
-    index build at all, and the ones that are queried pay a small
-    one-off (bounded by the memtable limit) folded into that query's
-    latency.
+    The packed ``(id, key)`` column block that :meth:`in_range` scans
+    is built on the first read, not at seal time: sealing is on the
+    ingest hot path, and many runs are compacted before any query
+    touches them.
     """
 
-    __slots__ = ("run_id", "records", "file", "_bounds", "_dims",
-                 "_bits", "_rs_buffer_size", "_rng", "_tree",
-                 "_sampler")
+    __slots__ = ("run_id", "records", "file", "_dims", "_entries",
+                 "_block")
 
-    def __init__(self, run_id: int, records: Iterable[Record],
-                 bounds: "Rect", dims: int, bits: int = 16,
-                 rs_buffer_size: int = 32, rng=None,
+    def __init__(self, run_id: int, records: Iterable[Record], dims: int,
                  file: str | None = None):
         self.run_id = run_id
         self.records: dict[int, Record] = {
             r.record_id: r for r in records}
-        self._bounds = bounds
         self._dims = dims
-        self._bits = bits
-        self._rs_buffer_size = rs_buffer_size
-        self._rng = rng
-        self._tree: HilbertRTree | None = None
-        self._sampler: RSTreeSampler | None = None
+        self._entries: list[Entry] | None = None
+        self._block: ColumnBlock | None = None
         self.file = file
 
-    @property
-    def tree(self) -> HilbertRTree:
-        """The run's mini Hilbert R-tree, bulk-loaded on first use."""
-        if self._tree is None:
-            tree = HilbertRTree(self._dims, self._bounds,
-                                bits=self._bits)
-            tree.bulk_load((r.record_id, r.key(self._dims))
-                           for r in self.records.values())
-            self._tree = tree
-        return self._tree
-
-    @property
-    def sampler(self) -> RSTreeSampler:
-        """The run's RS-tree sampler, prepared on first use."""
-        if self._sampler is None:
-            self._sampler = RSTreeSampler(
-                self.tree, buffer_size=self._rs_buffer_size,
-                rng=self._rng)
-            self._sampler.prepare()
-        return self._sampler
+    def in_range(self, rect: "Rect") -> list[Entry]:
+        """Entries inside the closed rect, including tombstone-masked
+        ones (the snapshot drops those)."""
+        if self._block is None:
+            dims = self._dims
+            self._entries = [Entry(rid, r.key(dims))
+                             for rid, r in self.records.items()]
+            self._block = ColumnBlock.from_entries(self._entries, dims)
+        entries = self._entries
+        return [entries[i]
+                for i in self._block.indices_in(rect.lo, rect.hi)]
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def range_count(self, rect: "Rect") -> int:
-        """Entries inside the rect (including tombstone-masked ones —
-        the snapshot subtracts its own mask counts)."""
-        return self.tree.range_count(rect)
 
     def to_payload(self) -> bytes:
         """Serialised run file contents (columnar block wire format).
@@ -353,8 +325,8 @@ class LSMTree:
             registry = self.obs.registry
             if registry.enabled:
                 registry.counter("storm.blocks.decoded").inc()
-            run = self._build_run(int(meta["run_id"]), records,
-                                  file=name)
+            run = SealedRun(int(meta["run_id"]), records,
+                            self.dataset.dims, file=name)
             self.runs.append(run)
         live_runs = {run.run_id for run in self.runs}
         for spec in manifest.get("tombstones", []):
@@ -489,17 +461,6 @@ class LSMTree:
             registry.gauge("storm.lsm.memtable.records").set(
                 len(self.memtable))
 
-    def _build_run(self, run_id: int, records: Iterable[Record],
-                   file: str | None = None) -> SealedRun:
-        import random as _random
-        tree = self.dataset.tree
-        return SealedRun(run_id, records, tree.encoder.bounds,
-                         self.dataset.dims, bits=tree.encoder.bits,
-                         rs_buffer_size=RUN_BUFFER_SIZE,
-                         rng=_random.Random(
-                             self.dataset._build_rng.getrandbits(32)),
-                         file=file)
-
     def seal(self) -> SealedRun | None:
         """Freeze the memtable into an immutable run and persist it.
 
@@ -516,7 +477,7 @@ class LSMTree:
         frozen = list(self.memtable.records.values())
         file = self._run_file_name(run_id) if self.dfs is not None \
             else None
-        run = self._build_run(run_id, frozen, file=file)
+        run = SealedRun(run_id, frozen, self.dataset.dims, file=file)
         if self.dfs is not None:
             payload = run.to_payload()
             tmp = run.file + ".tmp"

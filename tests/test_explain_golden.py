@@ -128,9 +128,9 @@ GOLDEN = {'distributed': ['method fixed at build time: distributed-rs',
                   'phases (simulated seconds, disk cost model):\n'
                   '  range_count      0.020323s  reads=6 (random=2, seq=4) '
                   'scanned=300 samples=0\n'
-                  '  sample_stream    0.040008s  reads=4 (random=4, seq=0) '
-                  'scanned=256 samples=50\n'
-                  '  total            0.060331s\n'
+                  '  sample_stream    0.000003s  reads=0 (random=0, seq=0) '
+                  'scanned=0 samples=31\n'
+                  '  total            0.020326s\n'
                   'caches:\n'
                   '  canonical-set  hits=0 misses=1 hit_rate=0.0%\n'
                   'index:\n'

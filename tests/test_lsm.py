@@ -298,19 +298,31 @@ class TestTierMechanics:
         assert mem.remove(1).record_id == 1
         assert mem.remove(1) is None
 
-    def test_sealed_run_tree_is_lazy_and_consistent(self):
+    def test_sealed_run_in_range_matches_brute_force(self):
         records = make_records(64, seed=61)
-        run = SealedRun(7, records, EVERYTHING, 2)
-        assert run._tree is None
-        rect = Rect((0, 0), (50, 50))
-        expect = sum(1 for r in records
-                     if rect.contains_point(r.key(2)))
-        assert run.range_count(rect) == expect
-        assert run._tree is not None
-        got = {e.item_id for e in
-               run.sampler.sample_stream(EVERYTHING,
-                                         random.Random(19))}
-        assert got == {r.record_id for r in records}
+        # Points on a rect's closed boundary count as inside.
+        records.append(Record(record_id=64, lon=50.0, lat=25.0, attrs={}))
+        records.append(Record(record_id=65, lon=20.0, lat=50.0, attrs={}))
+        run = SealedRun(7, records, 2)
+        rng = random.Random(62)
+        rects = [Rect((20, 25), (50, 50)), EVERYTHING]
+        for _ in range(30):
+            x0, x1 = sorted(rng.uniform(0, 100) for _ in range(2))
+            y0, y1 = sorted(rng.uniform(0, 100) for _ in range(2))
+            rects.append(Rect((x0, y0), (x1, y1)))
+        for rect in rects:
+            got = [(e.item_id, e.point) for e in run.in_range(rect)]
+            want = [(r.record_id, r.key(2)) for r in records
+                    if rect.contains_point(r.key(2))]
+            assert sorted(got) == sorted(want)
+        assert {64, 65} <= {e.item_id for e in run.in_range(rects[0])}
+
+    def test_unread_run_builds_no_block(self):
+        dataset, lsm = tiered_dataset(seed=63)
+        assert lsm.runs
+        assert all(run._block is None for run in lsm.runs)
+        dataset.sampler_for(EVERYTHING).range_count(EVERYTHING)
+        assert all(run._block is not None for run in lsm.runs)
 
     def test_seal_then_compact_counts(self):
         dataset, lsm = tiered_dataset(seed=62)

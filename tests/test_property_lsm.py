@@ -73,6 +73,11 @@ def check_against(dataset, model):
                sampler.sample_stream(rect, random.Random(11))]
         assert len(got) == len(set(got)) == len(want)
         assert set(got) == want
+        sampler.range_count(rect)
+        wr = sampler.sample_stream_with_replacement(rect,
+                                                    random.Random(12))
+        assert all(next(wr).item_id in want
+                   for _ in range(4 * len(want)))
 
 
 class TestLSMProperties:
