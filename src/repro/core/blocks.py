@@ -44,7 +44,7 @@ import numpy as np
 from repro.core.records import Record
 from repro.errors import StorageError
 
-__all__ = ["BLOCK_MAGIC", "ColumnBlock", "RecordBlock",
+__all__ = ["BLOCK_MAGIC", "ColumnBlock", "RecordBlock", "box_mask",
            "is_block_payload"]
 
 #: Wire-format header of every encoded block ("STorm Block v1").
@@ -116,6 +116,16 @@ def is_block_payload(data: bytes) -> bool:
     return data[:4] == BLOCK_MAGIC
 
 
+def box_mask(cols: Sequence[np.ndarray], lo: Sequence[float],
+             hi: Sequence[float]) -> np.ndarray:
+    """Boolean mask of the points inside the closed box ``[lo, hi]``,
+    given one equal-length coordinate array per axis."""
+    mask = (cols[0] >= lo[0]) & (cols[0] <= hi[0])
+    for d in range(1, len(cols)):
+        mask &= (cols[d] >= lo[d]) & (cols[d] <= hi[d])
+    return mask
+
+
 class ColumnBlock:
     """Immutable packed columns for one batch of indexed points.
 
@@ -175,11 +185,7 @@ class ColumnBlock:
         return self._views
 
     def _mask(self, lo: Sequence[float], hi: Sequence[float]):
-        views = self._np_views()
-        mask = (views[0] >= lo[0]) & (views[0] <= hi[0])
-        for d in range(1, len(views)):
-            mask &= (views[d] >= lo[d]) & (views[d] <= hi[d])
-        return mask
+        return box_mask(self._np_views(), lo, hi)
 
     def indices_in(self, lo: Sequence[float], hi: Sequence[float]
                    ) -> list[int]:

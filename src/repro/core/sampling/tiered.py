@@ -35,7 +35,11 @@ Snapshot pinning
 ``range_count`` (which sessions always call before opening a stream)
 materialises an :class:`LSMSnapshot`: the main tree's canonical set,
 a frozen copy of the main tier's tombstone mask, and the flat list of
-live in-range run and memtable entries.  The stream draws only from
+live in-range run and memtable entries.  Building it costs the
+canonical set, one set copy and numpy passes over columns (the main
+tier's dead keys, the memtable, each run); Python work grows with the
+hits and the rows added since the previous snapshot, not with the
+memtable size or the tombstone count.  The stream draws only from
 that snapshot, so
 
 * inserts after open land in the live memtable, never in the frozen
@@ -133,30 +137,25 @@ class TieredSampler(SpatialSampler):
 
     def snapshot(self, query: Rect,
                  cost: CostCounter | None = None) -> LSMSnapshot:
-        """Pin every tier for this query (see module docstring)."""
-        from repro.storage.lsm import MAIN_TIER
+        """Pin every tier for this query (see module docstring).
+
+        Costs the main tree's canonical set plus numpy passes over the
+        main-tier tombstone keys, the memtable and every read run:
+        Python work scales with the hits and the rows appended since
+        the previous snapshot, not with the memtable or tombstone
+        count."""
         dataset = self.dataset
         lsm = self.lsm
         cost = cost if cost is not None else dataset.tree.cost
         canon = dataset.tree.canonical_set(query, cost)
+        main_live = canon.count - lsm.main_dead_in(query)
         tombstones = lsm.tombstones
-        main_masked: set[int] = set()
-        main_dead = 0
-        for rid, victims in tombstones.items():
-            key = victims.get(MAIN_TIER)
-            if key is not None:
-                main_masked.add(rid)
-                if query.contains_point(key):
-                    main_dead += 1
-        dims = dataset.dims
-        flat = [Entry(r.record_id, r.key(dims))
-                for r in lsm.memtable.in_range(query)]
+        flat = lsm.memtable.in_range(query)
         for run in lsm.runs:
             run_id = run.run_id
             flat += [e for e in run.in_range(query)
                      if run_id not in tombstones.get(e.item_id, ())]
-        snap = LSMSnapshot(canon, main_masked, canon.count - main_dead,
-                           flat)
+        snap = LSMSnapshot(canon, set(lsm.main_dead), main_live, flat)
         registry = self.obs.registry
         if registry.enabled:
             registry.counter("storm.lsm.snapshots").inc()

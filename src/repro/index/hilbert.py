@@ -125,52 +125,61 @@ def hilbert_index_batch(coords, bits: int) -> list[int]:
     ``coords`` is an ``(n, dim)`` array-like of integers in
     ``[0, 2^bits)``.  Semantically identical to calling
     :func:`hilbert_index` per row, but the Skilling transpose runs as
-    whole-array bitwise operations (the per-point Python interpreter
-    cost is what dominates bulk loads — sealing LSM runs and
-    compactions call this on every batch).  The scalar loop is only the
-    fallback for keys that would overflow ``int64`` (and for empty or
-    non-2-d input).
+    whole-array bitwise operations (see :func:`_hilbert_index_array`).
+    The scalar loop is only the fallback for keys that would overflow
+    ``int64`` (and for empty or non-2-d input).
     """
     rows = _np.asarray(coords, dtype=_np.int64)
     if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] * bits > 62:
         return [hilbert_index(tuple(int(c) for c in row), bits)
                 for row in coords]
+    return _hilbert_index_array(rows, bits).tolist()
+
+
+def _hilbert_index_array(rows: _np.ndarray, bits: int) -> _np.ndarray:
+    """int64 Hilbert keys of an ``(n, dim)`` int64 grid array, for
+    ``dim * bits <= 62``: the Skilling transpose as whole-array bitwise
+    operations (the per-point Python interpreter cost is what dominates
+    bulk loads — compactions and recovery call this on every build)."""
     n, dim = rows.shape
     limit = 1 << bits
     if bool((rows < 0).any()) or bool((rows >= limit).any()):
         raise GeometryError(
             f"coordinate outside grid [0, {limit})")
     if dim == 1:
-        return [int(v) for v in rows[:, 0]]
-    x = rows.copy()
-    m = 1 << (bits - 1)
-    # Inverse undo excess work (vectorised over all n points; where()
-    # keeps both branches branch-free instead of fancy-indexing).
-    q = m
-    while q > 1:
-        p = q - 1
+        return rows[:, 0].copy()
+    # One contiguous row per axis, and every step a whole-array pass
+    # over it.  Where the scalar code branches on bit k of an axis,
+    # ``neg`` (all ones where that bit is set, else 0) selects between
+    # the two outcomes arithmetically.
+    x = rows.T.copy()
+    # Inverse undo excess work.
+    for k in range(bits - 1, 0, -1):
+        p = (1 << k) - 1
         for i in range(dim):
-            hi = (x[:, i] & q) != 0
-            t = _np.where(hi, 0, (x[:, 0] ^ x[:, i]) & p)
-            x[:, 0] ^= _np.where(hi, p, t)
-            x[:, i] ^= t
-        q >>= 1
+            neg = (x[i] >> k) & 1
+            _np.negative(neg, out=neg)
+            t = x[0] ^ x[i]
+            t &= p
+            t &= ~neg
+            neg &= p
+            neg |= t
+            x[0] ^= neg
+            x[i] ^= t
     # Gray encode.
     for i in range(1, dim):
-        x[:, i] ^= x[:, i - 1]
+        x[i] ^= x[i - 1]
     t = _np.zeros(n, dtype=_np.int64)
-    q = m
-    while q > 1:
-        sel = (x[:, dim - 1] & q) != 0
-        t[sel] ^= q - 1
-        q >>= 1
-    x ^= t[:, None]
+    for k in range(bits - 1, 0, -1):
+        t ^= ((x[dim - 1] >> k) & 1) * ((1 << k) - 1)
+    x ^= t
     # Interleave bit j of every axis into the packed key.
     key = _np.zeros(n, dtype=_np.int64)
     for j in range(bits - 1, -1, -1):
         for i in range(dim):
-            key = (key << 1) | ((x[:, i] >> j) & 1)
-    return key.tolist()
+            key <<= 1
+            key |= (x[i] >> j) & 1
+    return key
 
 
 def hilbert_point(index: int, bits: int, dim: int) -> tuple[int, ...]:
@@ -230,18 +239,18 @@ class HilbertEncoder:
         """Hilbert key of a float point."""
         return hilbert_index(self.grid(point), self.bits)
 
-    def keys(self, points: Sequence[Sequence[float]]) -> list[int]:
+    def keys(self, points) -> _np.ndarray:
         """Hilbert keys of many float points (vectorised grid snap).
 
-        Equivalent to ``[self.key(p) for p in points]`` but snaps the
-        whole batch with array arithmetic and feeds the grid through
-        :func:`hilbert_index_batch`; bulk loads call this once per
-        node-level build instead of one scalar encode per entry.
+        ``points`` is an ``(n, dim)`` array-like; a float64 ndarray is
+        used as is.  Element for element equal to
+        ``[self.key(p) for p in points]``, as an int64 array — or, when
+        ``dim * bits > 62`` overflows int64, an object array of the
+        scalar codec's Python ints.  Either sorts with ``np.argsort``.
         """
-        pts = list(points)
-        if not pts:
-            return []
-        arr = _np.asarray(pts, dtype=_np.float64)
+        arr = _np.asarray(points, dtype=_np.float64)
+        if arr.size == 0:
+            return _np.empty(0, dtype=_np.int64)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise GeometryError(
                 f"points must be (n, {self.dim}) shaped")
@@ -250,4 +259,9 @@ class HilbertEncoder:
         cells = (1 << self.bits) - 1
         grid = ((arr - lo) * scale).astype(_np.int64)
         _np.clip(grid, 0, cells, out=grid)
-        return hilbert_index_batch(grid, self.bits)
+        if self.dim * self.bits > 62:
+            keys = _np.empty(len(grid), dtype=object)
+            keys[:] = [hilbert_index(row, self.bits)
+                       for row in grid.tolist()]
+            return keys
+        return _hilbert_index_array(grid, self.bits)

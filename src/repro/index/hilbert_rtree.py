@@ -17,7 +17,10 @@ Splits divide members in key order (order-preserving 1-to-2 split).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.core.geometry import Rect
 from repro.errors import IndexError_
@@ -45,11 +48,6 @@ class HilbertRTree(RTree):
             raise IndexError_(
                 f"bounds are {bounds.dim}-d but the tree is {dims}-d")
         self.encoder = HilbertEncoder(bounds, bits=bits)
-        # Populated for the duration of a bulk load: item_id -> key,
-        # encoded once as a batch and shared by the sort partition and
-        # the lhv recomputation (previously each entry was encoded
-        # twice through the scalar codec — the dominant build cost).
-        self._bulk_keys: dict[int, int] | None = None
 
     # ------------------------------------------------------------------
     # key helpers
@@ -57,11 +55,6 @@ class HilbertRTree(RTree):
 
     def entry_key(self, entry: Entry) -> int:
         """Hilbert key of a leaf entry's point."""
-        cache = self._bulk_keys
-        if cache is not None:
-            key = cache.get(entry.item_id)
-            if key is not None:
-                return key
         return self.encoder.key(entry.point)
 
     # ------------------------------------------------------------------
@@ -69,40 +62,62 @@ class HilbertRTree(RTree):
     # ------------------------------------------------------------------
 
     def bulk_load(self, items: Iterable[tuple[int, Sequence[float]]]) -> None:
-        """STR-free bulk load: sort by Hilbert key, chunk, set lhv."""
-        try:
-            super().bulk_load(items)
-            if self.root is not None:
-                self._recompute_lhv(self.root)
-        finally:
-            self._bulk_keys = None
+        """Sort by Hilbert key, chunk into even leaves, set lhv.
 
-    def _partition_entries(self, entries: list[Entry]) -> list[list[Entry]]:
-        keys = self.encoder.keys([e.point for e in entries])
-        cache = {e.item_id: k for e, k in zip(entries, keys)}
-        self._bulk_keys = cache
-        return _even_chunks(sorted(entries,
-                                   key=lambda e: cache[e.item_id]),
-                            self.leaf_capacity)
+        Columnar: the entries' points go into one ``(n, dims)`` array
+        whose Hilbert keys are encoded in one batch; a stable argsort
+        orders the entries (equal keys keep input order), ``reduceat``
+        gives every leaf's MBR, and each leaf's ``lhv`` is its last
+        sorted key.  Internal levels chunk the leaves in that order.
+        """
+        entries = [Entry(item_id, tuple(map(float, point)))
+                   for item_id, point in items]
+        points = [e.point for e in entries]
+        n = len(entries)
+        dims = self.dims
+        try:
+            coords = np.array(points, dtype=np.float64)
+        except ValueError:
+            coords = None
+        if n and (coords is None or coords.shape != (n, dims)):
+            raise IndexError_("bulk-load points have wrong dimensionality")
+        self._bump_version()
+        self._next_node_id = 0
+        self.size = n
+        if not n:
+            self.root = None
+            self.height = 0
+            return
+        keys = self.encoder.keys(coords)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        coords = coords[order]
+        entries = [entries[i] for i in order.tolist()]
+        leaves = math.ceil(n / self.leaf_capacity)
+        base, extra = divmod(n, leaves)
+        sizes = np.full(leaves, base)
+        sizes[:extra] += 1
+        ends = np.cumsum(sizes)
+        starts = (ends - sizes).tolist()
+        los = np.minimum.reduceat(coords, starts).tolist()
+        his = np.maximum.reduceat(coords, starts).tolist()
+        level: list[Node] = []
+        for start, end, lo, hi, lhv in zip(starts, ends.tolist(), los, his,
+                                           keys[ends - 1].tolist()):
+            leaf = Node(self._new_node_id(), Rect(lo, hi),
+                        entries=entries[start:end])
+            leaf.lhv = lhv
+            level.append(leaf)
+        self._stack_levels(level)
 
     def _partition_nodes(self, nodes: list[Node]) -> list[list[Node]]:
         # Bulk loading creates nodes in key order already; preserve it.
         return _even_chunks(nodes, self.branch_capacity)
 
-    def _recompute_lhv(self, node: Node) -> int:
-        if node.is_leaf:
-            entries = node.entries or []
-            if self._bulk_keys is not None and entries:
-                # Bulk loads chunk entries in sorted key order, so the
-                # leaf maximum is simply the last entry's key.
-                node.lhv = self.entry_key(entries[-1])
-            else:
-                node.lhv = max((self.entry_key(e) for e in entries),
-                               default=0)
-        else:
-            node.lhv = max(self._recompute_lhv(c)
-                           for c in node.children or [])
-        return node.lhv
+    def _new_internal(self, children: list[Node]) -> Node:
+        node = super()._new_internal(children)
+        node.lhv = max(c.lhv for c in children)
+        return node
 
     # ------------------------------------------------------------------
     # shape introspection (observability gauges, EXPLAIN)
@@ -188,9 +203,8 @@ class HilbertRTree(RTree):
                 (self.entry_key(e) for e in sibling.entries or []),
                 default=0)
         else:
+            # The sibling's lhv came with _new_internal.
             node.lhv = max((c.lhv for c in node.children or []), default=0)
-            sibling.lhv = max((c.lhv for c in sibling.children or []),
-                              default=0)
         self._invalidate_buffer(node)
         self._invalidate_buffer(sibling)
         return sibling
@@ -200,7 +214,6 @@ class HilbertRTree(RTree):
         parent = node.parent
         if parent is None:
             new_root = self._new_internal([node, sibling])
-            new_root.lhv = max(node.lhv, sibling.lhv)
             self.root = new_root
             self.root.parent = None
             self.height += 1

@@ -255,8 +255,12 @@ class RTree:
             self.root = None
             self.height = 0
             return
-        groups = self._partition_entries(entries)
-        level: list[Node] = [self._new_leaf(g) for g in groups]
+        self._stack_levels([self._new_leaf(g)
+                            for g in self._partition_entries(entries)])
+
+    def _stack_levels(self, level: list[Node]) -> None:
+        """Build the internal levels over bulk-loaded leaves, up to
+        the root."""
         self.height = 1
         while len(level) > 1:
             level = [self._new_internal(g)

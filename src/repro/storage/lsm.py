@@ -9,8 +9,11 @@ This module layers a tiered, log-structured index on top of the PR 5
 durability stack, adapting the hybrid tiered design of "A hybrid index
 model for efficient spatio-temporal search in HBase" to sampling:
 
-**Memtable** — new records land in a small in-memory dict.  No tree
-mutation, no version bump: an insert is one dict put.
+**Memtable** — new records land in a small in-memory dict and an
+insertion-order log.  No tree mutation, no version bump: an insert is
+one dict put and one list append.  A query packs only the log rows
+added since the previous query into a coordinate column and filters
+the column in one numpy pass.
 
 **Sealed runs** — a full memtable is *sealed* into an immutable run
 and flushed to the DFS with the temp-write + ``rename_file`` commit
@@ -20,10 +23,10 @@ one vectorised pass over a packed column block.  A ``MANIFEST.json``
 tombstones and the WAL LSN from which replay must resume.
 
 **Compaction** — sealed runs and tombstones fold into the main tree in
-one atomic swap (a single bulk load = one version bump for thousands
-of records; the dataset keeps no LS forest under an LSM, so that is
-the only index rebuilt), the manifest empties, and — via the update
-manager's checkpoint — covered WAL segments are pruned.
+one atomic swap (a single columnar bulk load = one version bump for
+thousands of records; the dataset keeps no LS forest under an LSM, so
+that is the only index rebuilt), the manifest empties, and — via the
+update manager's checkpoint — covered WAL segments are pruned.
 
 **Snapshots** — a sample stream pins the tiers it opened with: the
 main tree's canonical set with its tombstone mask, and one list of the
@@ -41,7 +44,10 @@ masked run copies out of its flat list, and the main-tier stream
 filters drawn entries against the main tombstones, which keeps the
 merged stream exactly uniform over the live set (rejecting a fixed
 subset of a uniform without-replacement stream is itself uniform
-without replacement over the remainder).
+without replacement over the remainder).  Main-tier victims are also
+kept as an id set and an append-only key list, so a snapshot copies
+the set and counts the in-rect dead copies with one numpy pass instead
+of visiting every tombstone.
 
 Crash recovery (:meth:`LSMTree.open` on a recovered store) rebuilds
 runs from the manifest, replays committed WAL batches **into the
@@ -53,9 +59,12 @@ remaining live records — see ``docs/architecture.md`` ("Tiered ingest
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.core.blocks import ColumnBlock, RecordBlock, is_block_payload
+import numpy as np
+
+from repro.core.blocks import (ColumnBlock, RecordBlock, box_mask,
+                               is_block_payload)
 from repro.core.records import Record
 from repro.errors import StorageError
 from repro.index.rtree import Entry
@@ -76,21 +85,73 @@ LSM_PREFIX = "lsm/"
 MAIN_TIER = "main"
 
 
-class Memtable:
-    """In-memory ingest buffer: a plain insertion-order dict.
+class _PointColumn:
+    """An append-only column of points for one-pass rect filters.
 
-    An insert is one dict put — this is what makes the tiered path
-    fast, so nothing else happens here.  Hilbert ordering is deferred
-    to the seal, whose bulk load batch-encodes and sorts the whole
-    buffer at once (far cheaper than keeping the buffer sorted with a
-    per-insert scalar encode + ``insort``).
+    The points live in a ``(dims, capacity)`` float64 array that
+    doubles when full, so extending it by ``k`` points costs ``O(k)``
+    amortised, and :meth:`indices_in` is one numpy pass per axis.
     """
 
-    __slots__ = ("records", "_dims")
+    __slots__ = ("_data", "rows")
+
+    def __init__(self, dims: int):
+        self._data = np.empty((dims, 64))
+        #: Points stored so far.
+        self.rows = 0
+
+    def extend(self, points: list) -> None:
+        """Append ``points`` (equal-length coordinate sequences)."""
+        rows = self.rows
+        need = rows + len(points)
+        data = self._data
+        if need > data.shape[1]:
+            grown = np.empty((len(data), max(need, 2 * data.shape[1])))
+            grown[:, :rows] = data[:, :rows]
+            self._data = data = grown
+        data[:, rows:need] = np.asarray(points, dtype=np.float64).T
+        self.rows = need
+
+    def indices_in(self, lo: Sequence[float], hi: Sequence[float]
+                   ) -> list[int]:
+        """Ascending positions of the points inside the closed box."""
+        return np.flatnonzero(
+            box_mask(self._data[:, :self.rows], lo, hi)).tolist()
+
+    def count_in(self, lo: Sequence[float], hi: Sequence[float]) -> int:
+        """Number of points inside the closed box ``[lo, hi]``."""
+        return int(np.count_nonzero(
+            box_mask(self._data[:, :self.rows], lo, hi)))
+
+
+class Memtable:
+    """In-memory ingest buffer: an insertion-order dict plus a log.
+
+    An insert is one dict put and one list append.  The log keeps
+    every inserted record in insertion order, removed ones included;
+    :meth:`in_range` packs only the rows appended since the previous
+    read into a coordinate column and filters the whole column in one
+    numpy pass, so a read costs the new rows plus the hits, not one
+    Python containment test per row.  A removed row stays in the log
+    until the memtable is cleared or its removed rows outnumber its
+    live ones; a read drops every row that is no longer the live record
+    of its id.  Hilbert ordering is deferred to the seal, whose bulk
+    load batch-encodes and sorts the whole buffer at once.
+    """
+
+    __slots__ = ("records", "_dims", "_log", "_removed", "_column")
 
     def __init__(self, dims: int):
         self.records: dict[int, Record] = {}
         self._dims = dims
+        self._restart_log()
+
+    def _restart_log(self) -> None:
+        """Start the log (and its column) over from the live records."""
+        self._log: list[Record] = list(self.records.values())
+        #: Rows of ``_log`` whose record was removed since.
+        self._removed = 0
+        self._column = _PointColumn(self._dims)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -103,18 +164,37 @@ class Memtable:
             raise StorageError(
                 f"record {record.record_id} already in memtable")
         self.records[record.record_id] = record
+        self._log.append(record)
 
     def remove(self, record_id: int) -> Record | None:
-        return self.records.pop(record_id, None)
+        record = self.records.pop(record_id, None)
+        if record is not None:
+            self._removed += 1
+            if self._removed > len(self.records):
+                self._restart_log()
+        return record
 
-    def in_range(self, rect: "Rect") -> list[Record]:
-        """Live memtable records inside the query rect."""
+    def in_range(self, rect: "Rect") -> list[Entry]:
+        """Entries of the live memtable records inside the closed
+        rect, in insertion order (the dict order of ``records``)."""
         dims = self._dims
-        return [r for r in self.records.values()
-                if rect.contains_point(r.key(dims))]
+        log = self._log
+        column = self._column
+        if column.rows < len(log):
+            column.extend([r.key(dims) for r in log[column.rows:]])
+        rows = [log[i] for i in column.indices_in(rect.lo, rect.hi)]
+        if self._removed:
+            live = self.records
+            rows = [r for r in rows if live.get(r.record_id) is r]
+            # A record removed and re-inserted as the same object has
+            # two rows; keep the later one, where ``records`` has it.
+            rows = list({r.record_id: r
+                         for r in reversed(rows)}.values())[::-1]
+        return [Entry(r.record_id, r.key(dims)) for r in rows]
 
     def clear(self) -> None:
         self.records.clear()
+        self._restart_log()
 
 
 class SealedRun:
@@ -226,6 +306,7 @@ class LSMTree:
         #: record id -> {tier: key of the dead copy it masks}.  Tiers
         #: are :data:`MAIN_TIER` or an integer run id.
         self.tombstones: dict[int, dict[object, tuple]] = {}
+        self._reset_main_dead()
         self._next_run_id = 1
         #: LSN of the last fully applied batch (the update manager
         #: advances it); seals stamp it into the manifest so replay
@@ -451,8 +532,11 @@ class LSMTree:
             self.tombstones.setdefault(rid, {})[run_id] = \
                 record.key(self.dataset.dims)
         else:
-            self.tombstones.setdefault(rid, {})[MAIN_TIER] = \
-                record.key(self.dataset.dims)
+            key = record.key(self.dataset.dims)
+            self.tombstones.setdefault(rid, {})[MAIN_TIER] = key
+            if rid not in self.main_dead:
+                self.main_dead.add(rid)
+                self._main_dead_keys.append(key)
         registry = self.obs.registry
         if registry.enabled:
             registry.counter("storm.lsm.deletes").inc()
@@ -503,6 +587,25 @@ class LSMTree:
         self._publish_gauges()
         return run
 
+    def _reset_main_dead(self) -> None:
+        #: ids whose dead copy sits in the main tree (the main-victim
+        #: tombstones), and the keys of those copies in delete order,
+        #: packed lazily into ``_main_dead_column`` by
+        #: :meth:`main_dead_in`.
+        self.main_dead: set[int] = set()
+        self._main_dead_keys: list[tuple] = []
+        self._main_dead_column = _PointColumn(self.dataset.dims)
+
+    def main_dead_in(self, rect: "Rect") -> int:
+        """How many dead main-tree copies lie inside the closed rect:
+        one numpy pass over their keys, packing only the ones added
+        since the previous call."""
+        keys = self._main_dead_keys
+        column = self._main_dead_column
+        if column.rows < len(keys):
+            column.extend(keys[column.rows:])
+        return column.count_in(rect.lo, rect.hi)
+
     def should_compact(self) -> bool:
         """Whether enough runs accumulated to warrant a compaction."""
         return len(self.runs) >= self.compact_after_runs
@@ -527,6 +630,7 @@ class LSMTree:
         self.runs.clear()
         self._run_of.clear()
         self.tombstones.clear()
+        self._reset_main_dead()
         self.replay_lsn = max(self.replay_lsn, self.applied_lsn)
         self._rebuild_main_tier()
         self._write_manifest()

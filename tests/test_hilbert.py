@@ -1,5 +1,6 @@
 """Unit tests for the Hilbert curve codec."""
 
+import numpy as np
 import pytest
 
 from repro.core.geometry import Rect
@@ -137,8 +138,24 @@ class TestBatchCodec:
         enc = HilbertEncoder(Rect((0, 0), (100, 50)), bits=10)
         pts = [(rng.uniform(-10, 110), rng.uniform(-10, 60))
                for _ in range(300)]
-        assert enc.keys(pts) == [enc.key(p) for p in pts]
-        assert enc.keys([]) == []
+        want = [enc.key(p) for p in pts]
+        got = enc.keys(pts)
+        assert got.dtype == np.int64 and got.tolist() == want
+        # An ndarray goes in as is.
+        assert enc.keys(np.array(pts)).tolist() == want
+        assert enc.keys([]).tolist() == []
+
+    def test_encoder_keys_overflow_falls_back_to_python_ints(self):
+        # 3 dims x 21 bits > 62: the keys do not fit int64.
+        import random as _random
+        rng = _random.Random(10)
+        enc = HilbertEncoder(Rect((0, 0, 0), (1, 1, 1)), bits=21)
+        pts = np.array([[rng.random() for _ in range(3)]
+                        for _ in range(50)] + [[1.0, 1.0, 1.0]])
+        got = enc.keys(pts)
+        assert got.dtype == object
+        assert got.tolist() == [enc.key(p) for p in pts.tolist()]
+        assert max(got.tolist()) >= 1 << 62
 
     def test_encoder_keys_shape_check(self):
         enc = HilbertEncoder(Rect((0, 0), (1, 1)), bits=4)

@@ -7,8 +7,9 @@ import pytest
 from repro.core.geometry import Rect
 from repro.errors import IndexError_
 from repro.index.cost import CostCounter
+from repro.index.hilbert import HilbertEncoder
 from repro.index.hilbert_rtree import HilbertRTree
-from repro.index.rtree import RTree
+from repro.index.rtree import Entry, RTree, _even_chunks
 
 from tests.conftest import brute_force_range, make_clustered_points, \
     make_points
@@ -124,3 +125,104 @@ class TestHilbertLocality:
         frac_h = c_h.sequential_reads / max(1, c_h.node_reads)
         frac_p = c_p.sequential_reads / max(1, c_p.node_reads)
         assert frac_h > frac_p
+
+
+def scalar_reference(items, dims, bounds, bits, leaf_capacity,
+                     branch_capacity):
+    """The per-entry bulk load the columnar one replaced: a stable
+    Python sort on scalar keys, even chunks, ``Rect.bounding`` MBRs and
+    ``max`` lhv.  Returns ``(node_id, lo, hi, lhv, count, members)``
+    per node in id order; members are ``(id, point)`` pairs for a leaf
+    and child ids for an internal node."""
+    enc = HilbertEncoder(bounds, bits=bits)
+    entries = sorted((Entry(i, tuple(map(float, p))) for i, p in items),
+                     key=lambda e: enc.key(e.point))
+    nodes: list[tuple] = []
+    level = []
+    for chunk in _even_chunks(entries, leaf_capacity):
+        mbr = Rect.bounding([e.point for e in chunk])
+        level.append((len(nodes), mbr.lo, mbr.hi,
+                      max(enc.key(e.point) for e in chunk), len(chunk),
+                      [(e.item_id, e.point) for e in chunk]))
+        nodes.append(level[-1])
+    while len(level) > 1:
+        upper = []
+        for group in _even_chunks(level, branch_capacity):
+            mbr = Rect.union_all([Rect(g[1], g[2]) for g in group])
+            upper.append((len(nodes), mbr.lo, mbr.hi,
+                          max(g[3] for g in group),
+                          sum(g[4] for g in group),
+                          [g[0] for g in group]))
+            nodes.append(upper[-1])
+        level = upper
+    return nodes
+
+
+def describe(tree):
+    out = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        members = [(e.item_id, e.point) for e in node.entries] \
+            if node.is_leaf else [c.node_id for c in node.children]
+        out.append((node.node_id, node.mbr.lo, node.mbr.hi, node.lhv,
+                    node.count, members))
+        if not node.is_leaf:
+            stack.extend(node.children)
+    return sorted(out)
+
+
+class TestColumnarBulkLoad:
+    """The columnar bulk load builds the scalar reference's tree node
+    for node: leaf order, node ids, MBRs, lhv and counts."""
+
+    def check(self, items, dims, bounds, bits=16):
+        tree = HilbertRTree(dims, bounds, bits=bits, leaf_capacity=8,
+                            branch_capacity=4)
+        tree.bulk_load(items)
+        tree.validate()
+        assert describe(tree) == scalar_reference(items, dims, bounds,
+                                                  bits, 8, 4)
+
+    def test_matches_scalar_reference(self):
+        rng = random.Random(41)
+        for n in (1, 7, 8, 9, 33, 500):
+            items = [(i, (rng.uniform(0, 100), rng.uniform(0, 100)))
+                     for i in range(n)]
+            self.check(items, 2, BOUNDS)
+
+    def test_duplicate_keys_keep_input_order(self):
+        # Ids are shuffled so input order differs from id order; many
+        # points share a grid cell (identical or a hair apart).
+        rng = random.Random(42)
+        ids = list(range(300))
+        rng.shuffle(ids)
+        cells = [(rng.uniform(0, 100), rng.uniform(0, 100))
+                 for _ in range(5)]
+        items = []
+        for rid in ids:
+            x, y = rng.choice(cells)
+            if rng.random() < 0.3:
+                x, y = x + 1e-9, y
+            items.append((rid, (x, y)))
+        tree = HilbertRTree(2, BOUNDS, leaf_capacity=8,
+                            branch_capacity=4)
+        keys = tree.encoder.keys([p for _, p in items]).tolist()
+        assert len(set(keys)) < 10
+        self.check(items, 2, BOUNDS)
+
+    def test_python_int_keys_when_int64_overflows(self):
+        # 3 dims x 21 bits = 63 curve bits > 62.
+        rng = random.Random(43)
+        bounds = Rect((0, 0, 0), (1, 1, 1))
+        items = [(i, (rng.random(), rng.random(), rng.random()))
+                 for i in range(200)]
+        items += [(200 + i, items[i][1]) for i in range(20)]
+        self.check(items, 3, bounds, bits=21)
+
+    def test_rejects_wrong_dimensionality(self):
+        tree = HilbertRTree(2, BOUNDS)
+        with pytest.raises(IndexError_):
+            tree.bulk_load([(0, (1.0, 2.0)), (1, (1.0, 2.0, 3.0))])
+        with pytest.raises(IndexError_):
+            tree.bulk_load([(0, (1.0, 2.0, 3.0))])

@@ -26,6 +26,7 @@ from repro.core.sampling.base import take
 from repro.core.session import StopCondition
 from repro.storage.lsm import LSMTree, Memtable, SealedRun
 from repro.errors import StorageError, StormError
+from repro.index.rtree import Entry
 
 
 def make_records(n, seed=5, start_id=0):
@@ -294,9 +295,90 @@ class TestTierMechanics:
         mem.insert(Record(record_id=1, lon=10.0, lat=10.0, attrs={}))
         mem.insert(Record(record_id=2, lon=90.0, lat=90.0, attrs={}))
         rect = Rect((0, 0), (50, 50))
-        assert [r.record_id for r in mem.in_range(rect)] == [1]
+        assert mem.in_range(rect) == [Entry(1, (10.0, 10.0))]
         assert mem.remove(1).record_id == 1
         assert mem.remove(1) is None
+
+    def test_memtable_in_range_matches_brute_force(self):
+        """Removes, re-inserts (as the same object and as a moved new
+        record) and points on the closed boundary, read between ops so
+        the coordinate column grows in steps."""
+        rng = random.Random(71)
+        mem = Memtable(2)
+        model: dict[int, Record] = {}
+        removed: list[Record] = []
+
+        def insert(rec):
+            mem.insert(rec)
+            model[rec.record_id] = rec
+
+        def point():
+            return rng.uniform(0, 100), rng.uniform(0, 100)
+
+        # Points on a rect's closed boundary count as inside.
+        insert(Record(record_id=900, lon=50.0, lat=25.0, attrs={}))
+        insert(Record(record_id=901, lon=20.0, lat=50.0, attrs={}))
+        rects = [Rect((20, 25), (50, 50)), EVERYTHING]
+        for _ in range(6):
+            (x0, y0), (x1, y1) = point(), point()
+            rects.append(Rect((min(x0, x1), min(y0, y1)),
+                              (max(x0, x1), max(y0, y1))))
+        assert [e.item_id for e in mem.in_range(rects[0])] == [900, 901]
+        for step in range(400):
+            op = rng.random()
+            if op < 0.3 and model:
+                rid = rng.choice(sorted(model))
+                rec = model.pop(rid)
+                assert mem.remove(rid) is rec
+                removed.append(rec)
+            elif op < 0.5 and removed:
+                old = removed.pop(rng.randrange(len(removed)))
+                if old.record_id not in model:
+                    lon, lat = point()
+                    insert(old if rng.random() < 0.5 else
+                           Record(record_id=old.record_id, lon=lon,
+                                  lat=lat, attrs={}))
+            else:
+                rid = rng.randrange(60)
+                if rid not in model:
+                    lon, lat = point()
+                    insert(Record(record_id=rid, lon=lon, lat=lat,
+                                  attrs={}))
+            if step % 5 == 0:
+                for rect in rects:
+                    want = [Entry(r.record_id, r.key(2))
+                            for r in model.values()
+                            if rect.contains_point(r.key(2))]
+                    assert mem.in_range(rect) == want
+
+    def test_snapshot_makes_no_per_row_containment_test(self,
+                                                         monkeypatch):
+        """The memtable and the main-tier tombstones are filtered as
+        columns: no ``Rect.contains_point`` per row or per tombstone."""
+        base = make_records(2000, seed=81)
+        dataset = Dataset("columns", base, dims=2, build_ls=False, seed=3)
+        lsm = LSMTree(dataset, memtable_limit=4096,
+                      compact_after_runs=999)
+        dataset.attach_lsm(lsm)
+        for r in make_records(1000, seed=82, start_id=10_000):
+            dataset.insert(r)
+        for rid in range(0, 1000, 2):
+            dataset.delete(rid)
+        assert len(lsm.memtable) == 1000 and len(lsm.main_dead) == 500
+        rect = Rect((20, 20), (70, 70))
+        calls = []
+        contains_point = Rect.contains_point
+
+        def counting(self, point):
+            calls.append(point)
+            return contains_point(self, point)
+
+        monkeypatch.setattr(Rect, "contains_point", counting)
+        snap = dataset.samplers["lsm-tiered"].snapshot(rect)
+        assert calls == []
+        monkeypatch.undo()
+        assert snap.live_total == len(live_in_range(dataset, rect))
+        assert snap.main_masked == set(range(0, 1000, 2))
 
     def test_sealed_run_in_range_matches_brute_force(self):
         records = make_records(64, seed=61)

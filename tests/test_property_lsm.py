@@ -28,18 +28,23 @@ coord = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 
 @st.composite
 def op_sequence(draw):
-    """Insert/delete/seal/compact ops over small ids.
+    """Insert/delete/re-insert/seal/compact ops over small ids.
 
     Tracks liveness while generating so deletes always target a live
     id and the sequence is replayable without bookkeeping surprises.
+    A re-insert brings a deleted id back, either as the very record
+    object that was deleted (``revive``) or as a new record at a new
+    point (``insert``): a main-tier victim then has a tombstone beside
+    its live copy, and a memtable row has a dead twin in the log.
     """
     n_seed = draw(st.integers(0, 40))
     n = draw(st.integers(5, 80))
     ops = []
     live = set(range(n_seed))
+    dead: set[int] = set()
     next_id = 1000
     for _ in range(n):
-        kind = draw(st.integers(0, 9))
+        kind = draw(st.integers(0, 10))
         if kind == 0:
             ops.append(("seal",))
         elif kind == 1:
@@ -47,13 +52,42 @@ def op_sequence(draw):
         elif kind <= 4 and live:
             victim = draw(st.sampled_from(sorted(live)))
             live.discard(victim)
+            dead.add(victim)
             ops.append(("delete", victim))
+        elif kind == 5 and dead:
+            rid = draw(st.sampled_from(sorted(dead)))
+            dead.discard(rid)
+            live.add(rid)
+            if draw(st.booleans()):
+                ops.append(("revive", rid))
+            else:
+                ops.append(("insert", rid, draw(coord), draw(coord)))
         else:
             lon, lat = draw(coord), draw(coord)
             ops.append(("insert", next_id, lon, lat))
             live.add(next_id)
             next_id += 1
     return n_seed, ops
+
+
+def apply_op(dataset, lsm, model, graveyard, op, compact=True):
+    """Apply one generated op to the dataset and the dict oracle."""
+    if op[0] in ("insert", "revive"):
+        if op[0] == "revive":
+            rec = graveyard.pop(op[1])
+        else:
+            _, rid, lon, lat = op
+            rec = Record(record_id=rid, lon=lon, lat=lat, t=float(rid))
+        dataset.insert(rec)
+        model[rec.record_id] = rec
+    elif op[0] == "delete":
+        dataset.delete(op[1])
+        graveyard[op[1]] = model.pop(op[1])
+    elif op[0] == "seal":
+        if lsm.memtable.records:
+            lsm.seal()
+    elif compact:
+        lsm.compact()
 
 
 def seed_records(n, seed=3):
@@ -66,13 +100,14 @@ def seed_records(n, seed=3):
 def check_against(dataset, model):
     sampler = dataset.samplers["lsm-tiered"]
     for rect in (EVERYTHING, WEST):
-        want = {rid for rid, r in model.items()
+        want = {(rid, (r.lon, r.lat)) for rid, r in model.items()
                 if rect.contains_point((r.lon, r.lat))}
         assert sampler.range_count(rect) == len(want)
-        got = [e.item_id for e in
+        got = [(e.item_id, e.point) for e in
                sampler.sample_stream(rect, random.Random(11))]
         assert len(got) == len(set(got)) == len(want)
         assert set(got) == want
+        want = {rid for rid, _ in want}
         sampler.range_count(rect)
         wr = sampler.sample_stream_with_replacement(rect,
                                                     random.Random(12))
@@ -92,21 +127,9 @@ class TestLSMProperties:
                       compact_after_runs=999)
         dataset.attach_lsm(lsm)
         model = {r.record_id: r for r in base}
+        graveyard: dict[int, Record] = {}
         for op in ops:
-            if op[0] == "insert":
-                _, rid, lon, lat = op
-                rec = Record(record_id=rid, lon=lon, lat=lat,
-                             t=float(rid))
-                dataset.insert(rec)
-                model[rid] = rec
-            elif op[0] == "delete":
-                dataset.delete(op[1])
-                del model[op[1]]
-            elif op[0] == "seal":
-                if lsm.memtable.records:
-                    lsm.seal()
-            else:
-                lsm.compact()
+            apply_op(dataset, lsm, model, graveyard, op)
             check_against(dataset, model)
         # End state: tier bookkeeping is internally consistent.
         shape = lsm.tier_shape()
@@ -128,20 +151,10 @@ class TestLSMProperties:
                       compact_after_runs=999)
         dataset.attach_lsm(lsm)
         model = {r.record_id: r for r in base}
+        graveyard: dict[int, Record] = {}
         for op in ops:
-            if op[0] == "insert":
-                _, rid, lon, lat = op
-                rec = Record(record_id=rid, lon=lon, lat=lat,
-                             t=float(rid))
-                dataset.insert(rec)
-                model[rid] = rec
-            elif op[0] == "delete":
-                dataset.delete(op[1])
-                del model[op[1]]
-            elif op[0] == "seal":
-                if lsm.memtable.records:
-                    lsm.seal()
-            # skip generated compacts: this test compacts only once
+            # Skip generated compacts: this test compacts only once.
+            apply_op(dataset, lsm, model, graveyard, op, compact=False)
         check_against(dataset, model)
         lsm.compact()
         assert not lsm.runs and not lsm.tombstones
