@@ -3,6 +3,10 @@
 Given N points stored in an index and a range query Q, each sampler in this
 package returns a *stream* of uniformly random points from ``P ∩ Q``,
 one at a time, until the consumer stops — k is never known in advance.
+Each sampler implements the without-replacement stream; the
+with-replacement stream is the same for all of them
+(:meth:`SpatialSampler.sample_stream_with_replacement`): that stream
+plus a repeat coin.
 
 Implementations, in the order the paper introduces them:
 
@@ -34,9 +38,7 @@ Implementations, in the order the paper introduces them:
 
 ``repro.core.sampling.union`` holds the one uniform without-replacement
 draw over a disjoint union of parts (:class:`UnionStream`) that the
-RS-tree, tiered and distributed samplers share;
-``repro.core.sampling.weighted`` holds the O(1) :class:`AliasTable` the
-with-replacement paths select sources with.
+RS-tree, tiered and distributed samplers share.
 """
 
 from repro.core.sampling.base import SamplerStats, SpatialSampler
@@ -48,10 +50,8 @@ from repro.core.sampling.rs_tree import RSTreeSampler
 from repro.core.sampling.sample_first import SampleFirstSampler
 from repro.core.sampling.tiered import LSMSnapshot, TieredSampler
 from repro.core.sampling.union import UnionStream
-from repro.core.sampling.weighted import AliasTable
 
 __all__ = [
-    "AliasTable",
     "LSMSnapshot",
     "LSTree",
     "LSTreeSampler",

@@ -7,6 +7,12 @@ random from ``P ∩ Q`` without replacement; the iterator ends (raises
 consumer — an online estimator or a query session — pulls one sample at a
 time and stops whenever it is satisfied, which is the paper's Definition 1.
 
+Definition 1's other mode, with replacement, is built here once for every
+sampler: :meth:`SpatialSampler.sample_stream_with_replacement` wraps the
+sampler's own without-replacement stream in a repeat coin
+(:class:`_WithReplacement`), so its draws are i.i.d. uniform wherever the
+without-replacement stream is uniform.
+
 ``SamplerStats`` packages the cost-counter deltas a sampler accumulated for
 one query, used by the benchmark harness and the query optimizer's feedback
 loop.
@@ -98,18 +104,25 @@ class SpatialSampler(ABC):
     def sample_stream_with_replacement(
             self, query: Rect, rng: random.Random,
             cost: CostCounter | None = None) -> Iterator[Entry]:
-        """Uniform *with-replacement* stream (Definition 1's other mode).
+        """Uniform *with-replacement* stream: independent uniform draws.
 
-        The stream is infinite for non-empty ranges — the consumer stops
-        it.  The default implementation materialises one
-        without-replacement pass and resamples it, which is exact but
-        pays the full pass; index samplers override with cheaper draws.
+        Counts ``q`` once and wraps this sampler's own
+        without-replacement stream, opened (and pinned, for the tiered
+        snapshot) here, in :class:`_WithReplacement`.  The stream is
+        infinite for a non-empty range — the consumer stops it — and
+        empty for an empty one.
         """
-        pool = list(self.sample_stream(query, rng, cost=cost))
-        if not pool:
-            return
-        while True:
-            yield pool[rng.randrange(len(pool))]
+        cost = cost if cost is not None else self.default_cost()
+        q = self.range_count(query, cost)
+        if q == 0:
+            return iter(())
+        return _WithReplacement(self.sample_stream(query, rng, cost=cost),
+                                q, rng, cost)
+
+    def default_cost(self) -> CostCounter:
+        """The counter a stream charges when the caller passes none
+        (samplers without a ``tree`` override it)."""
+        return self.tree.cost
 
     @abstractmethod
     def range_count(self, query: Rect,
@@ -143,6 +156,62 @@ class SpatialSampler(ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+class _WithReplacement:
+    """Independent uniform draws from a uniform without-replacement
+    stream over ``q`` entries.
+
+    With ``d`` distinct entries drawn so far, a draw repeats a uniformly
+    chosen one of them with probability ``d/q`` and otherwise takes the
+    stream's next entry, which is uniform over the ``q - d`` unseen
+    ones: each draw is uniform over all ``q`` whatever came before
+    (DESIGN.md, "Uniform draws over a disjoint union").  The wrapped
+    stream charges ``cost`` one sample per entry it emits and the
+    wrapper one per repeat, so every draw costs one sample.
+    """
+
+    __slots__ = ("_stream", "_q", "_rng", "_cost", "_drawn")
+
+    def __init__(self, stream: Iterator[Entry], q: int,
+                 rng: random.Random, cost: CostCounter):
+        self._stream = stream
+        self._q = q
+        self._rng = rng
+        self._cost = cost
+        #: Distinct entries drawn so far, in stream order.
+        self._drawn: list[Entry] = []
+
+    def __iter__(self) -> _WithReplacement:
+        return self
+
+    def __next__(self) -> Entry:
+        return self.draw_batch(1)[0]
+
+    def draw_batch(self, k: int) -> list[Entry]:
+        """The next k draws."""
+        drawn = self._drawn
+        seen = d = len(drawn)
+        q = self._q
+        rnd = self._rng.random
+        # Toss every coin first — an index into `drawn`, d for the next
+        # fresh entry — then pull the fresh entries in one batch.
+        picks = []
+        for _ in range(k):
+            if rnd() * q < d:
+                picks.append(int(rnd() * d))
+            else:
+                picks.append(d)
+                d += 1
+        if d > seen:
+            drawn += take(self._stream, d - seen)
+        self._cost.charge_sample(len(picks) - (d - seen))
+        return [drawn[i] for i in picks]
+
+    def close(self) -> None:
+        close = getattr(self._stream, "close", None)
+        if close is not None:
+            close()
 
 
 class _CountedStream:

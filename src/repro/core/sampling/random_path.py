@@ -33,22 +33,18 @@ from repro.index.rtree import Entry, Node, RTree
 
 __all__ = ["RandomPathSampler"]
 
+#: Once the emitted set covers this fraction of ``q``, the stream
+#: enumerates the remaining points (rejection would thrash).
+_ENUMERATE_THRESHOLD = 0.5
+
 
 class RandomPathSampler(SpatialSampler):
-    """Olken-style acceptance/rejection sampling over an R-tree.
-
-    ``enumerate_threshold`` controls the without-replacement fallback: once
-    the emitted set covers more than that fraction of ``q``, the sampler
-    switches to enumerating the remaining points (rejection would thrash).
-    """
+    """Olken-style acceptance/rejection sampling over an R-tree."""
 
     name = "random-path"
 
-    def __init__(self, tree: RTree, enumerate_threshold: float = 0.5):
-        if not 0.0 < enumerate_threshold <= 1.0:
-            raise ValueError("enumerate_threshold must be in (0, 1]")
+    def __init__(self, tree: RTree):
         self.tree = tree
-        self.enumerate_threshold = enumerate_threshold
 
     # ------------------------------------------------------------------
 
@@ -100,7 +96,7 @@ class RandomPathSampler(SpatialSampler):
         if q == 0:
             return
         emitted: set[int] = set()
-        switch_at = max(1, int(q * self.enumerate_threshold))
+        switch_at = max(1, int(q * _ENUMERATE_THRESHOLD))
         while len(emitted) < switch_at:
             entry = self._attempt(query, rng, cost)
             if entry is None:
@@ -118,24 +114,6 @@ class RandomPathSampler(SpatialSampler):
         remaining = [e for e in self.tree.range_query(query, cost)
                      if e.item_id not in emitted]
         for entry in streaming_shuffle(remaining, rng):
-            cost.charge_sample()
-            yield entry
-
-    def sample_stream_with_replacement(
-            self, query: Rect, rng: random.Random,
-            cost: CostCounter | None = None) -> Iterator[Entry]:
-        """With-replacement mode is RandomPath's native behaviour: every
-        accepted walk is an independent uniform draw."""
-        cost = cost if cost is not None else self.tree.cost
-        if self.tree.root is None:
-            return
-        if self.tree.range_count(query, cost) == 0:
-            return
-        while True:
-            entry = self._attempt(query, rng, cost)
-            if entry is None:
-                cost.charge_rejection()
-                continue
             cost.charge_sample()
             yield entry
 

@@ -19,8 +19,6 @@ sources by one multivariate hypergeometric draw on their remaining
 counts, and permuted (DESIGN.md, "Uniform draws over a disjoint
 union"), so large subtrees — the ones most likely to supply the next
 sample — are found without scanning all of ``R_Q`` per sample.
-With-replacement streams use a Walker alias table over the static
-counts instead: O(1) per draw.
 
 Buffer maintenance is hierarchical: a leaf's buffer is a shuffle of its
 entries; an internal node's buffer is drawn by consuming its children's
@@ -41,7 +39,6 @@ cited there).
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
 import numpy as np
 
@@ -50,7 +47,6 @@ from repro.core.sampling.base import SpatialSampler
 from repro.core.sampling.permutation import (sample_without_replacement,
                                              streaming_shuffle)
 from repro.core.sampling.union import PoolPart, UnionStream, permute, split
-from repro.core.sampling.weighted import AliasTable
 from repro.index.cost import CostCounter
 from repro.index.rtree import Entry, Node, RTree, _iter_subtree_entries
 
@@ -59,6 +55,10 @@ __all__ = ["RSTreeSampler"]
 # After this many consecutive duplicate rejections from one subtree the
 # sampler enumerates the subtree's remainder instead of rejecting forever.
 _REJECT_STREAK_LIMIT = 16
+
+#: Fraction of a canonical node that may be emitted before its part
+#: stops rejection-sampling the buffer and enumerates the rest.
+_ENUMERATE_THRESHOLD = 0.5
 
 #: Internal-node refills on the vectorised path draw this many times
 #: ``buffer_size`` per merge: the per-refill fixed cost (one MVHG draw,
@@ -81,24 +81,17 @@ class RSTreeSampler(SpatialSampler):
         Randomness used for buffer refills (distinct from the per-query
         rng so repeated queries see fresh buffers deterministically under a
         fixed seed).
-    enumerate_threshold:
-        Fraction of a subtree that may be emitted before the sampler stops
-        rejection-sampling that subtree and enumerates the rest.
     """
 
     name = "rs-tree"
 
     def __init__(self, tree: RTree, buffer_size: int = 64,
-                 rng: random.Random | None = None,
-                 enumerate_threshold: float = 0.5):
+                 rng: random.Random | None = None):
         if buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
-        if not 0.0 < enumerate_threshold <= 1.0:
-            raise ValueError("enumerate_threshold must be in (0, 1]")
         self.tree = tree
         self.buffer_size = buffer_size
         self.rng = rng if rng is not None else random.Random()
-        self.enumerate_threshold = enumerate_threshold
         # Lazily-created numpy Generator for vectorised buffer refills;
         # seeded from `rng` on first use so runs stay deterministic
         # under a fixed seed.
@@ -261,11 +254,6 @@ class RSTreeSampler(SpatialSampler):
         while len(out) < c:
             self._ensure_buffer(node, cost)
             buf = node.sample_buffer
-            if not buf:
-                # Pathological refill: fall back to the single-draw
-                # helper, which enumerates the subtree.
-                out.append(self._draw_from_subtree(node, cost))
-                continue
             take = min(c - len(out), len(buf) - node.buffer_pos)
             out.extend(buf[node.buffer_pos:node.buffer_pos + take])
             node.buffer_pos += take
@@ -282,23 +270,6 @@ class RSTreeSampler(SpatialSampler):
                 stack.extend(n.children or [])
         for node_id in sorted(ids):
             cost.charge_node(node_id)
-
-    def _draw_from_subtree(self, node: Node, cost: CostCounter) -> Entry:
-        """Next buffered sample of the subtree (refilling as needed)."""
-        self._ensure_buffer(node, cost)
-        if not node.sample_buffer:
-            # Pathological refill (merge produced only duplicates): fall
-            # back to a full shuffled enumeration of the subtree.
-            entries = list(_iter_subtree_entries(node))
-            self._charge_subtree_scan(node, cost)
-            cost.charge_entries(len(entries))
-            node.fill_epoch += 1
-            node.sample_buffer = sample_without_replacement(
-                entries, len(entries), self.rng)
-            node.buffer_pos = 0
-        entry = node.sample_buffer[node.buffer_pos]
-        node.buffer_pos += 1
-        return entry
 
     # ------------------------------------------------------------------
     # sampling
@@ -340,44 +311,6 @@ class RSTreeSampler(SpatialSampler):
                        for node in canon.nodes]
         parts.append(PoolPart(canon.residual, rng))
         return parts
-
-    def sample_stream_with_replacement(
-            self, query: Rect, rng: random.Random,
-            cost: CostCounter | None = None) -> Iterator[Entry]:
-        """With-replacement draws: pick a canonical source ∝ its *full*
-        count each time and consume its (cycling) buffer.
-
-        Draws from one buffer batch are without replacement internally,
-        so very short gaps between repeats are slightly under-
-        represented; across batches the stream is uniform.  (The exact
-        construction would re-shuffle per draw — the buffered
-        approximation is the one the node-resident sample store makes
-        possible.)
-        """
-        cost = cost if cost is not None else self.tree.cost
-        yield from self.sample_stream_with_replacement_from_canon(
-            self.tree.canonical_set(query, cost), rng, cost)
-
-    def sample_stream_with_replacement_from_canon(
-            self, canon, rng: random.Random,
-            cost: CostCounter | None = None) -> Iterator[Entry]:
-        """With-replacement draws from a pinned canonical set."""
-        cost = cost if cost is not None else self.tree.cost
-        residual = list(canon.residual)
-        weights = [n.count for n in canon.nodes] + [len(residual)]
-        if sum(weights) == 0:
-            return
-        # Weights are static for the whole stream, so a Walker alias
-        # table gives O(1) source selection per draw.
-        alias = AliasTable(weights)
-        while True:
-            idx = alias.sample(rng)
-            if idx == len(canon.nodes):
-                entry = residual[rng.randrange(len(residual))]
-            else:
-                entry = self._draw_from_subtree(canon.nodes[idx], cost)
-            cost.charge_sample()
-            yield entry
 
     def range_count(self, query: Rect,
                     cost: CostCounter | None = None) -> int:
@@ -455,13 +388,12 @@ class _NodePart:
         sampler = self._sampler
         node = self._node
         cost = self._cost
-        threshold = sampler.enumerate_threshold
         count = self._count
         rem = self.remaining
         out: list[Entry] = []
         streak = 0
         while m > 0:
-            if 1.0 - rem / count > threshold \
+            if 1.0 - rem / count > _ENUMERATE_THRESHOLD \
                     or streak >= _REJECT_STREAK_LIMIT:
                 self.remaining = rem - m
                 return out + self._switch_to_enum().draw(m)
@@ -472,31 +404,23 @@ class _NodePart:
             if buf is None or node.buffer_pos >= len(buf):
                 sampler._fill_buffer(node, cost)
                 buf = node.sample_buffer
-            if not buf:
-                entry = sampler._draw_from_subtree(node, cost)
-                if entry.item_id in self._seen_set():
-                    cost.charge_rejection()
-                    streak += 1
-                    continue
-                chunk = (entry,)
-            else:
-                bpos = node.buffer_pos
-                take = min(m, len(buf) - bpos)
-                chunk = buf[bpos:bpos + take]
-                node.buffer_pos = bpos + take
-                ep = node.fill_epoch
-                if self._epoch is None or self._epoch == ep:
-                    # Same-fill slice: duplicate-free (see `_epoch`).
-                    self._epoch = ep
-                    if self._pending is None:
-                        self._pending = []
-                    self._pending.append(chunk)
-                    out += chunk
-                    streak = 0
-                    rem -= take
-                    m -= take
-                    continue
-                self._epoch = -1
+            bpos = node.buffer_pos
+            take = min(m, len(buf) - bpos)
+            chunk = buf[bpos:bpos + take]
+            node.buffer_pos = bpos + take
+            ep = node.fill_epoch
+            if self._epoch is None or self._epoch == ep:
+                # Same-fill slice: duplicate-free (see `_epoch`).
+                self._epoch = ep
+                if self._pending is None:
+                    self._pending = []
+                self._pending.append(chunk)
+                out += chunk
+                streak = 0
+                rem -= take
+                m -= take
+                continue
+            self._epoch = -1
             seen = self._seen_set()
             got = 0
             for e in chunk:

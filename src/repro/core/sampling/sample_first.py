@@ -26,24 +26,25 @@ __all__ = ["SampleFirstSampler"]
 # random (non-sequential) reads by the cost model.
 _RANDOM_FETCH_BASE = 1 << 40
 
+#: After this many times N consecutive misses the stream pays for an
+#: exact count to tell "unlucky" from "empty range".
+_ATTEMPT_FACTOR = 8
+
 
 class SampleFirstSampler(SpatialSampler):
     """Uniform draws from P filtered by Q, without replacement.
 
     The sampler snapshots the entry array once (this models a storage
-    engine that can fetch record number i in one read).  ``attempt_factor``
-    bounds the rejection loop: after ``attempt_factor * N`` consecutive
-    misses it performs an exact count to distinguish "unlucky" from
-    "empty range" instead of spinning forever.
+    engine that can fetch record number i in one read).  The rejection
+    loop is bounded: after ``_ATTEMPT_FACTOR * N`` consecutive misses
+    it performs an exact count to distinguish "unlucky" from "empty
+    range" instead of spinning forever.
     """
 
     name = "sample-first"
 
-    def __init__(self, tree: RTree, attempt_factor: int = 8):
-        if attempt_factor < 1:
-            raise ValueError("attempt_factor must be >= 1")
+    def __init__(self, tree: RTree):
         self.tree = tree
-        self.attempt_factor = attempt_factor
         self._entries: list[Entry] = list(tree.iter_entries())
 
     def refresh(self) -> None:
@@ -61,7 +62,7 @@ class SampleFirstSampler(SpatialSampler):
         q: int | None = None  # learned lazily, only if we start struggling
         leaf_cap = max(1, self.tree.leaf_capacity)
         misses = 0
-        cap = self.attempt_factor * n
+        cap = _ATTEMPT_FACTOR * n
         while True:
             idx = rng.randrange(n)
             entry = entries[idx]
@@ -89,37 +90,6 @@ class SampleFirstSampler(SpatialSampler):
                         "would never terminate")
                 if len(emitted) >= q:
                     return
-                misses = 0
-
-    def sample_stream_with_replacement(
-            self, query: Rect, rng: random.Random,
-            cost: CostCounter | None = None) -> Iterator[Entry]:
-        """Native mode for SampleFirst: just don't dedupe the hits."""
-        cost = cost if cost is not None else self.tree.cost
-        entries = self._entries
-        n = len(entries)
-        if n == 0:
-            return
-        leaf_cap = max(1, self.tree.leaf_capacity)
-        misses = 0
-        cap = self.attempt_factor * n
-        while True:
-            idx = rng.randrange(n)
-            entry = entries[idx]
-            cost.charge_node(_RANDOM_FETCH_BASE + idx // leaf_cap)
-            cost.charge_entries(1)
-            if query.contains_point(entry.point):
-                cost.charge_sample()
-                misses = 0
-                yield entry
-                continue
-            cost.charge_rejection()
-            misses += 1
-            if misses >= cap:
-                if self.tree.range_count(query, cost) == 0:
-                    raise EmptyRangeError(
-                        "query range contains no points; SampleFirst "
-                        "would never terminate")
                 misses = 0
 
     def range_count(self, query: Rect,

@@ -22,13 +22,8 @@ subset out of a uniform without-replacement stream leaves a uniform
 without-replacement stream over the remainder, so the main part
 redraws until it holds its share of live entries.  The union splits
 each batch over the two *live remaining* counts (DESIGN.md, "Uniform
-draws over a disjoint union").
-
-For with-replacement mode the main-tier stream is uniform over the
-*full* (masked + live) main population, so each attempt picks the
-main tier by its full count against the list's length, and a masked
-main draw is rejected by redrawing the pick as well — each accepted
-draw is then uniform over the live union.
+draws over a disjoint union").  With-replacement mode wraps this
+stream like every other sampler's (:mod:`repro.core.sampling.base`).
 
 Snapshot pinning
 ----------------
@@ -60,7 +55,7 @@ cache stays hot between compactions.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -172,6 +167,9 @@ class TieredSampler(SpatialSampler):
     # the sampler protocol
     # ------------------------------------------------------------------
 
+    def default_cost(self) -> CostCounter:
+        return self.dataset.tree.cost
+
     def range_count(self, query: Rect,
                     cost: CostCounter | None = None) -> int:
         """Exact live ``q = |P ∩ Q|``; pins the snapshot the paired
@@ -205,41 +203,6 @@ class TieredSampler(SpatialSampler):
                                                       cost, np_rng),
                           snap.main_masked, snap.main_live),
                 PoolPart(snap.flat, rng)]
-
-    def sample_stream_with_replacement(
-            self, query: Rect, rng: random.Random,
-            cost: CostCounter | None = None) -> Iterator[Entry]:
-        cost = cost if cost is not None else self.dataset.tree.cost
-        snap = self._take_snapshot(query, cost)
-        return self._merged_wr_stream(snap, rng, cost)
-
-    def _merged_wr_stream(self, snap: LSMSnapshot, rng: random.Random,
-                          cost: CostCounter) -> Iterator[Entry]:
-        """With-replacement merge: one pick over the full main count
-        plus the flat list, masked main draws rejected by picking again.
-
-        Every attempt is uniform over the full main population plus the
-        list, so conditioning on acceptance (the drawn entry is live)
-        leaves each accepted draw uniform over the live union.
-        """
-        if snap.live_total == 0:
-            return
-        main = self.dataset.samplers["rs-tree"] \
-            .sample_stream_with_replacement_from_canon(snap.canon, rng,
-                                                       cost)
-        flat = snap.flat
-        masked = snap.main_masked
-        total = len(flat) + snap.canon.count
-        while True:
-            i = rng.randrange(total)
-            if i < len(flat):
-                yield flat[i]
-                continue
-            entry = next(main)
-            if entry.item_id in masked:
-                cost.charge_rejection()
-                continue
-            yield entry
 
 
 class _TierPart:

@@ -25,9 +25,9 @@ from repro.index.cost import CostCounter
 __all__ = ["PoolPart", "UnionStream", "permute", "split"]
 
 #: Entries ``UnionStream.__next__`` draws ahead in one batch.  Only
-#: full drains iterate (the default with-replacement pool, the chaos
-#: smoke's post-crash drain) and tests; sessions, ``take`` and worker
-#: fetches call ``draw_batch``, which never draws ahead.
+#: full drains iterate (the chaos smoke's post-crash drain) and tests;
+#: sessions, ``take``, worker fetches and the with-replacement wrapper
+#: call ``draw_batch``, which never draws ahead.
 _CHUNK = 64
 
 

@@ -40,10 +40,9 @@ class HilbertRTree(RTree):
     """
 
     def __init__(self, dims: int, bounds: Rect, bits: int = 16,
-                 leaf_capacity: int = 64, branch_capacity: int = 16,
-                 min_fill: float = 0.4):
+                 leaf_capacity: int = 64, branch_capacity: int = 16):
         super().__init__(dims, leaf_capacity=leaf_capacity,
-                         branch_capacity=branch_capacity, min_fill=min_fill)
+                         branch_capacity=branch_capacity)
         if bounds.dim != dims:
             raise IndexError_(
                 f"bounds are {bounds.dim}-d but the tree is {dims}-d")

@@ -35,6 +35,13 @@ from repro.obs import NULL_OBS, Observability
 
 __all__ = ["Entry", "Node", "RTree", "CanonicalSet"]
 
+#: Minimum fill fraction before a node is condensed on delete.
+MIN_FILL = 0.4
+
+#: Canonical sets cached per tree (LRU beyond this); 0 disables the
+#: cache.
+CANONICAL_CACHE_SIZE = 128
+
 
 @dataclass(frozen=True, slots=True)
 class Entry:
@@ -152,33 +159,23 @@ class RTree:
     leaf_capacity / branch_capacity:
         Maximum entries in a leaf / children of an internal node.  These
         model disk-block fanout; the benchmarks use the defaults.
-    min_fill:
-        Minimum fill fraction before a node is condensed on delete.
-    canonical_cache_size:
-        How many query rects' canonical sets to keep (LRU).  Repeated
-        or refined interactive queries hit the cache and skip the
-        root-to-leaf decomposition walk entirely; 0 disables caching.
-        Any structural change (insert/delete/bulk load) bumps
-        ``version``, which invalidates every cached entry at once.
+
+    A node below ``MIN_FILL`` of its capacity is condensed on delete.
+    The canonical sets of the last ``CANONICAL_CACHE_SIZE`` query rects
+    are cached (see :meth:`canonical_set`).
     """
 
-    #: Maximum cached canonical sets per tree (LRU beyond this).
-    DEFAULT_CANONICAL_CACHE = 128
-
     def __init__(self, dims: int, leaf_capacity: int = 64,
-                 branch_capacity: int = 16, min_fill: float = 0.4,
-                 canonical_cache_size: int | None = None):
+                 branch_capacity: int = 16):
         if dims < 1:
             raise IndexError_("dims must be >= 1")
         if leaf_capacity < 2 or branch_capacity < 2:
             raise IndexError_("capacities must be >= 2")
-        if not 0.0 < min_fill <= 0.5:
-            raise IndexError_("min_fill must be in (0, 0.5]")
         self.dims = dims
         self.leaf_capacity = leaf_capacity
         self.branch_capacity = branch_capacity
-        self.min_leaf = max(1, int(leaf_capacity * min_fill))
-        self.min_branch = max(1, int(branch_capacity * min_fill))
+        self.min_leaf = max(1, int(leaf_capacity * MIN_FILL))
+        self.min_branch = max(1, int(branch_capacity * MIN_FILL))
         self.cost = CostCounter()
         self._next_node_id = 0
         self.root: Node | None = None
@@ -191,8 +188,6 @@ class RTree:
         #: Cached canonical sets are valid only for the version they
         #: were computed at.
         self.version = 0
-        self._canon_capacity = self.DEFAULT_CANONICAL_CACHE \
-            if canonical_cache_size is None else canonical_cache_size
         # query rect -> (version at compute time, canonical set)
         self._canon_cache: "OrderedDict[Rect, tuple[int, CanonicalSet]]" \
             = OrderedDict()
@@ -534,10 +529,12 @@ class RTree:
         node fully inside the query, so the decomposition touches
         ``O(r(N))`` nodes instead of the whole in-range subtree.
 
-        Results are cached per query rect (LRU, ``canonical_cache_size``
-        entries) and keyed to the tree ``version``, so a repeated
-        interactive query skips the walk entirely; a hit charges one
-        cached read instead of the node reads of the walk.  Callers
+        Results are cached per query rect (LRU, ``CANONICAL_CACHE_SIZE``
+        entries) and keyed to the tree ``version``, so a repeated or
+        refined interactive query skips the walk entirely; a hit charges
+        one cached read instead of the node reads of the walk.  Any
+        structural change (insert/delete/bulk load) bumps ``version``,
+        which invalidates every cached entry at once.  Callers
         must not mutate the returned node/residual lists.
         """
         cost = cost if cost is not None else self.cost
@@ -555,10 +552,10 @@ class RTree:
         if registry.enabled:
             registry.counter("storm.cache.canonical.misses").inc()
         result = self._compute_canonical_set(query, cost)
-        if self._canon_capacity > 0:
+        if CANONICAL_CACHE_SIZE > 0:
             self._canon_cache[query] = (self.version, result)
             self._canon_cache.move_to_end(query)
-            while len(self._canon_cache) > self._canon_capacity:
+            while len(self._canon_cache) > CANONICAL_CACHE_SIZE:
                 self._canon_cache.popitem(last=False)
         return result
 

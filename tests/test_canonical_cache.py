@@ -14,6 +14,7 @@ from repro.core.engine import Dataset
 from repro.core.geometry import Rect
 from repro.core.records import Record
 from repro.index.cost import CostCounter
+from repro.index import rtree as rtree_module
 from repro.index.rtree import RTree
 from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.storage.dfs import SimulatedDFS
@@ -25,8 +26,8 @@ POINTS = make_points(500, seed=31)
 BOX = Rect((20, 20), (80, 80))
 
 
-def build_tree(**kwargs) -> RTree:
-    tree = RTree(2, leaf_capacity=16, branch_capacity=8, **kwargs)
+def build_tree() -> RTree:
+    tree = RTree(2, leaf_capacity=16, branch_capacity=8)
     tree.bulk_load(POINTS)
     return tree
 
@@ -101,8 +102,9 @@ class TestCanonicalSetCache:
         tree.canonical_set(BOX)
         assert tree.canon_hits == 0
 
-    def test_lru_eviction(self):
-        tree = build_tree(canonical_cache_size=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(rtree_module, "CANONICAL_CACHE_SIZE", 2)
+        tree = build_tree()
         a = Rect((0, 0), (30, 30))
         b = Rect((30, 30), (60, 60))
         c = Rect((60, 60), (90, 90))
@@ -115,8 +117,9 @@ class TestCanonicalSetCache:
         tree.canonical_set(a)  # must recompute
         assert tree.canon_misses == 4
 
-    def test_capacity_zero_disables(self):
-        tree = build_tree(canonical_cache_size=0)
+    def test_capacity_zero_disables(self, monkeypatch):
+        monkeypatch.setattr(rtree_module, "CANONICAL_CACHE_SIZE", 0)
+        tree = build_tree()
         tree.canonical_set(BOX)
         tree.canonical_set(BOX)
         assert tree.canon_hits == 0

@@ -9,8 +9,8 @@ suite checks that streams opened mid-ingest are isolated from every
 concurrent mutation (insert, delete, seal, compaction).
 
 Chi-square thresholds use the 0.001 quantile with fixed seeds, matching
-``test_sampler_uniformity``; the ``stat`` marker lets CI retry the
-statistical subset once before failing.
+``test_sampler_uniformity``; the ``stat`` marker lets CI run the
+statistical subset in its own step.
 """
 
 import random

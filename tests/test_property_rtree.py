@@ -147,3 +147,40 @@ class TestRTreeProperties:
                    sampler.sample_stream(box, random.Random(3))]
             assert len(got) == len(set(got)), sampler.name
             assert set(got) == want, sampler.name
+
+    @given(op_sequence(), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_rs_refill_never_leaves_empty_buffer(self, ops, buffer_size):
+        """After random inserts and deletes, every refill of a node with
+        ``count >= 1`` leaves a non-empty buffer of distinct entries
+        from its subtree — the RS stream relies on it and has no
+        empty-buffer fallback.  Repeated refills make child buffers
+        wrap mid-merge, so the merge's duplicate redraws and shortfall
+        scan run too."""
+        from repro.core.sampling import RSTreeSampler
+        from repro.index.cost import CostCounter
+        from repro.index.rtree import _iter_subtree_entries
+        tree = HilbertRTree(2, BOUNDS, leaf_capacity=4,
+                            branch_capacity=4)
+        apply_ops(tree, ops)
+        rs = RSTreeSampler(tree, buffer_size=buffer_size,
+                           rng=random.Random(4))
+        cost = CostCounter()
+        pre_order = []
+        stack = [tree.root] if tree.root is not None else []
+        while stack:
+            node = stack.pop()
+            pre_order.append(node)
+            if not node.is_leaf:
+                stack.extend(node.children)
+        # Children before parents: a merge reads filled child buffers.
+        for node in reversed(pre_order):
+            if node.count < 1:
+                continue
+            subtree = {e.item_id for e in _iter_subtree_entries(node)}
+            for _ in range(3):
+                rs._fill_buffer(node, cost)
+                ids = [e.item_id for e in node.sample_buffer]
+                assert ids, (node.node_id, node.count)
+                assert len(ids) == len(set(ids))
+                assert set(ids) <= subtree

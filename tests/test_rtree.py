@@ -267,10 +267,6 @@ class TestParams:
         with pytest.raises(IndexError_):
             RTree(2, leaf_capacity=1)
 
-    def test_rejects_bad_min_fill(self):
-        with pytest.raises(IndexError_):
-            RTree(2, min_fill=0.9)
-
     def test_node_count_positive(self, uniform_points):
         tree = build(uniform_points)
         assert tree.node_count() >= len(uniform_points) // 64

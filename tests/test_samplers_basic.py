@@ -128,14 +128,6 @@ class TestSamplerSpecifics:
         drained = {e.item_id for e in sampler.sample_stream(box, rng)}
         assert 99_999 in drained
 
-    def test_sample_first_rejects_bad_factor(self):
-        with pytest.raises(ValueError):
-            SampleFirstSampler(_plain_tree(), attempt_factor=0)
-
-    def test_random_path_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            RandomPathSampler(_plain_tree(), enumerate_threshold=0.0)
-
     def test_rs_tree_rejects_bad_buffer(self):
         with pytest.raises(ValueError):
             RSTreeSampler(_hilbert_tree(), buffer_size=0)
